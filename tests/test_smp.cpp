@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <string>
 
 #include "asmtool/assembler.h"
@@ -98,6 +99,35 @@ TEST(SmpRpcScalingTest, MoreHartsReduceWallClockCycles) {
   EXPECT_GT(two->Counter("hart1.cpu.instret"), 0u);
   EXPECT_GT(two->Counter("cache.l2.hit") + two->Counter("cache.l2.miss"),
             0u);
+}
+
+// Every fleet aggregate under a per-hart counter's unprefixed name is the
+// sum of its hart<N>. twins, and nothing else is: a counter added to
+// RegisterCpuCounters can never be missing from (or stray into) the
+// aggregate set.
+TEST(SmpCounterTest, AggregatesPartitionIntoPerHartCounters) {
+  const auto build =
+      BuildWorkload(workloads::RpcServerWorkload(200), core::Defense::kICall);
+  for (const unsigned harts : {2u, 4u}) {
+    const auto metrics =
+        RunBuildSmp(build, core::SystemVariant::kFullRoload, harts);
+    ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
+    std::map<std::string, std::uint64_t> aggregates;
+    std::map<std::string, std::uint64_t> hart_sums;
+    for (const auto& [name, value] : metrics->counters) {
+      if (name.rfind("hart", 0) == 0) {
+        const std::size_t dot = name.find('.');
+        ASSERT_NE(dot, std::string::npos) << name;
+        hart_sums[name.substr(dot + 1)] += value;
+      } else if (name.rfind("cpu.", 0) == 0 || name.rfind("tlb.", 0) == 0 ||
+                 name.rfind("cache.i.", 0) == 0 ||
+                 name.rfind("cache.d.", 0) == 0) {
+        aggregates[name] = value;
+      }
+    }
+    EXPECT_GT(aggregates.count("tlb.keycheck.pass.1"), 0u);
+    EXPECT_EQ(aggregates, hart_sums) << harts << " harts";
+  }
 }
 
 TEST(SmpRpcScalingTest, InterleavingIsDeterministic) {
