@@ -94,8 +94,8 @@ int main() {
     }
   }
 
-  const auto results = system.kernel().RunAll(/*slice=*/200,
-                                              /*total_limit=*/1ull << 30);
+  const auto results = system.kernel().Run(/*max_instructions=*/1ull << 30,
+                                           /*quantum=*/200);
   bool all_ok = true;
   for (unsigned p = 0; p < kProcs; ++p) {
     const bool ok =

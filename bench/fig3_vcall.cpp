@@ -91,8 +91,8 @@ int main() {
   session.Record("paper.vcall_time_pct", 0.303);
   session.Record("paper.vtint_time_pct", 2.750);
 
-  // Under load: the same defenses on the RPC dispatch server (src/smp),
-  // requests spread across 1/2/4 harts. The paper measures batch SPEC
+  // Under load: the same defenses on the RPC dispatch server, requests
+  // spread across 1/2/4 harts. The paper measures batch SPEC
   // runs only; these rows show the VCall overhead holds under concurrent
   // server-style traffic, where every request takes the vcall-heavy
   // handler path on its own hart behind the shared L2.

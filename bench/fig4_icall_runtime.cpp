@@ -74,8 +74,8 @@ int main() {
   session.Record("average.cfi_time_pct", time_cfi / count);
   session.Record("paper.cfi_time_pct", 9.073);
 
-  // Under load: ICall vs classic CFI on the RPC dispatch server
-  // (src/smp), requests spread across 1/2/4 harts. Every request walks
+  // Under load: ICall vs classic CFI on the RPC dispatch server,
+  // requests spread across 1/2/4 harts. Every request walks
   // an indirect-call middleware table, so the fnptr-dispatch density is
   // far above the batch SPEC rows — the CFI gap widens while ICall stays
   // near zero.

@@ -59,8 +59,8 @@ int main() {
           std::size(kinds) * kDefenseCount, bench::BenchJobs(),
           [&](std::size_t i) {
             AttackCell cell;
-            auto run = sec::RunAttack(kinds[i / kDefenseCount],
-                                      defenses[i % kDefenseCount]);
+            auto run = sec::RunAttackSmp(kinds[i / kDefenseCount],
+                                         defenses[i % kDefenseCount]);
             if (run.ok()) {
               cell.result = *run;
             } else {
@@ -138,8 +138,8 @@ int main() {
   }
 
   // Under load: the same attacks launched on hart 0 of a 4-hart machine
-  // while harts 1-3 keep serving the victim's dispatch loops (src/smp,
-  // sec::RunAttackSmp). The defense verdicts must not change under
+  // while harts 1-3 keep serving the victim's dispatch loops
+  // (sec::RunAttackSmp). The defense verdicts must not change under
   // traffic, and the blocked cells must attribute the kill to the hart
   // the scheduler actually dispatched into the corrupted table first.
   constexpr unsigned kLoadHarts = 4;

@@ -1,12 +1,10 @@
 // SMP scaling of the RPC dispatch server (ROADMAP north star: "heavy
 // traffic from millions of users"). Two claims, both gated:
 //
-//  1. Serial-vs-SMP bit-identity: a 1-hart smp::Machine reproduces the
-//     legacy single-hart core::System exactly — same cycles, same
-//     instructions, same end-of-run counter snapshot, name for name.
-//     This is the same differential the tests pin (tests/test_smp.cpp),
-//     re-proven here on the very build the scaling rows use, so the
-//     multi-hart numbers below are comparable to every pre-SMP figure.
+//  1. Reproducibility: two fresh 1-hart machines running the same build
+//     agree exactly — same cycles, same instructions, same end-of-run
+//     counter snapshot, name for name — on the very build the scaling
+//     rows use. (tests/test_golden.cpp pins the values themselves.)
 //
 //  2. Throughput scales: the strided request loop (hart h serves
 //     requests h, h+N, h+2N, ...) finishes in fewer cycles on 2 harts
@@ -19,7 +17,7 @@
 
 #include "bench/bench_util.h"
 #include "campaign/spec.h"
-#include "smp/machine.h"
+#include "core/toolchain.h"
 #include "support/strings.h"
 
 using namespace roload;
@@ -28,39 +26,39 @@ namespace {
 
 // Full-snapshot comparison; on mismatch, names the first divergent
 // metric so the differential failure is actionable.
-bool BitIdentical(const core::RunMetrics& legacy,
-                  const core::RunMetrics& smp1, std::string* why) {
-  if (legacy.cycles != smp1.cycles) {
+bool BitIdentical(const core::RunMetrics& a, const core::RunMetrics& b,
+                  std::string* why) {
+  if (a.cycles != b.cycles) {
     *why = StrFormat("cycles %llu vs %llu",
-                     static_cast<unsigned long long>(legacy.cycles),
-                     static_cast<unsigned long long>(smp1.cycles));
+                     static_cast<unsigned long long>(a.cycles),
+                     static_cast<unsigned long long>(b.cycles));
     return false;
   }
-  if (legacy.instructions != smp1.instructions) {
+  if (a.instructions != b.instructions) {
     *why = StrFormat("instructions %llu vs %llu",
-                     static_cast<unsigned long long>(legacy.instructions),
-                     static_cast<unsigned long long>(smp1.instructions));
+                     static_cast<unsigned long long>(a.instructions),
+                     static_cast<unsigned long long>(b.instructions));
     return false;
   }
-  if (legacy.exit_code != smp1.exit_code) {
+  if (a.exit_code != b.exit_code) {
     *why = "exit_code";
     return false;
   }
-  if (legacy.peak_mem_kib != smp1.peak_mem_kib) {
+  if (a.peak_mem_kib != b.peak_mem_kib) {
     *why = "peak_mem_kib";
     return false;
   }
-  if (legacy.counters != smp1.counters) {
+  if (a.counters != b.counters) {
     const std::size_t n =
-        std::min(legacy.counters.size(), smp1.counters.size());
+        std::min(a.counters.size(), b.counters.size());
     for (std::size_t i = 0; i < n; ++i) {
-      if (legacy.counters[i] != smp1.counters[i]) {
+      if (a.counters[i] != b.counters[i]) {
         *why = StrFormat(
             "counter %s: %llu vs %s: %llu",
-            legacy.counters[i].first.c_str(),
-            static_cast<unsigned long long>(legacy.counters[i].second),
-            smp1.counters[i].first.c_str(),
-            static_cast<unsigned long long>(smp1.counters[i].second));
+            a.counters[i].first.c_str(),
+            static_cast<unsigned long long>(a.counters[i].second),
+            b.counters[i].first.c_str(),
+            static_cast<unsigned long long>(b.counters[i].second));
         return false;
       }
     }
@@ -86,8 +84,8 @@ int main() {
               "(scale=%.2f, %llu requests)\n\n",
               scale, static_cast<unsigned long long>(requests));
 
-  // --- Gate 1: serial vs 1-hart machine, bit for bit. ---
-  std::printf("bit-identity gate (legacy System vs --harts 1 machine):\n");
+  // --- Gate 1: two fresh 1-hart machines, bit for bit. ---
+  std::printf("bit-identity gate (two fresh --harts 1 machines):\n");
   bool identical = true;
   for (core::Defense defense :
        {core::Defense::kNone, core::Defense::kVCall}) {
@@ -99,16 +97,14 @@ int main() {
                    build.status().ToString().c_str());
       return 1;
     }
-    auto legacy =
-        core::RunBuild(*build, core::SystemVariant::kFullRoload);
-    auto smp1 = smp::RunBuildSmp(*build, core::SystemVariant::kFullRoload,
-                                 /*harts=*/1);
-    if (!legacy.ok() || !smp1.ok()) {
+    auto first = core::RunBuild(*build, core::SystemVariant::kFullRoload);
+    auto second = core::RunBuild(*build, core::SystemVariant::kFullRoload);
+    if (!first.ok() || !second.ok()) {
       std::fprintf(stderr, "bench: run failed\n");
       return 1;
     }
     std::string why;
-    const bool same = BitIdentical(*legacy, *smp1, &why);
+    const bool same = BitIdentical(*first, *second, &why);
     identical = identical && same;
     std::printf("  %-8s %s%s\n", core::DefenseName(defense).data(),
                 same ? "identical" : "DIVERGED: ", same ? "" : why.c_str());

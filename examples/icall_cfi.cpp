@@ -17,8 +17,8 @@ int main() {
               "address of attacker code\n");
   for (auto defense : {core::Defense::kNone, core::Defense::kClassicCfi,
                        core::Defense::kICall}) {
-    auto result = sec::RunAttack(sec::AttackKind::kFnPtrCorruptToEvil,
-                                 defense);
+    auto result = sec::RunAttackSmp(sec::AttackKind::kFnPtrCorruptToEvil,
+                                    defense);
     if (!result.ok()) {
       std::printf("  error: %s\n", result.status().ToString().c_str());
       return 1;
@@ -35,8 +35,8 @@ int main() {
   std::printf("\nAttack: pointee reuse — the slot is redirected to another "
               "LEGITIMATE same-type target\n");
   for (auto defense : {core::Defense::kClassicCfi, core::Defense::kICall}) {
-    auto result = sec::RunAttack(sec::AttackKind::kFnPtrReuseSameType,
-                                 defense);
+    auto result = sec::RunAttackSmp(sec::AttackKind::kFnPtrReuseSameType,
+                                    defense);
     if (!result.ok()) {
       std::printf("  error: %s\n", result.status().ToString().c_str());
       return 1;

@@ -14,7 +14,7 @@ using namespace roload;
 namespace {
 
 void Narrate(sec::AttackKind kind, core::Defense defense) {
-  auto result = sec::RunAttack(kind, defense);
+  auto result = sec::RunAttackSmp(kind, defense);
   if (!result.ok()) {
     std::printf("  error: %s\n", result.status().ToString().c_str());
     return;

@@ -144,10 +144,10 @@ class Auditor : public trace::EventSink, public kernel::FatalFaultObserver {
  public:
   Auditor(cpu::Cpu* cpu, mem::PhysMemory* memory);
 
-  // SMP: registers hart `hart`'s CPU so autopsies read the *faulting*
-  // hart's architectural state (registers, satp, stack) rather than hart
-  // 0's. Hart 0 is the constructor's cpu; unregistered hart ids fall back
-  // to it.
+  // Multi-hart systems: registers hart `hart`'s CPU so autopsies read the
+  // *faulting* hart's architectural state (registers, satp, stack) rather
+  // than hart 0's. Hart 0 is the constructor's cpu; unregistered hart ids
+  // fall back to it.
   void RegisterHartCpu(unsigned hart, cpu::Cpu* cpu);
 
   // Copies the image's symbol table and section spans for symbolization

@@ -15,8 +15,8 @@
 //   seed              nonzero: derive per-run workload seeds (see
 //                     CampaignSpec::seed)
 //   max-instructions  per-run instruction budget
-//   harts             hart counts (e.g. "1,2,4"); cells with > 1 hart run
-//                     on an smp::Machine and are named "<...>/h<N>"
+//   harts             hart counts (e.g. "1,2,4"); cells with > 1 hart are
+//                     named "<...>/h<N>"
 //   exec              host execute tiers: interp | fast | translated
 //                     (e.g. "exec=interp,fast,translated" cross-checks
 //                     all three); any non-default axis appends "/<tier>"

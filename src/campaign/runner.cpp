@@ -1,6 +1,6 @@
 #include "campaign/runner.h"
 
-#include "smp/machine.h"
+#include "core/toolchain.h"
 
 namespace roload::campaign {
 namespace {
@@ -25,14 +25,8 @@ RunOutcome ExecuteOne(const RunSpec& spec, std::size_t index) {
   outcome.build.cfi_id_words = build->codegen.cfi_id_words;
   if (spec.build_only) return outcome;
 
-  // harts == 1 stays on the legacy single-hart path — pre-SMP grids are
-  // bit-identical by construction, not by luck.
-  auto metrics =
-      spec.harts > 1
-          ? smp::RunBuildSmp(*build, spec.variant, spec.harts,
-                             spec.max_instructions, spec.trace, spec.exec)
-          : core::RunBuild(*build, spec.variant, spec.max_instructions,
-                           spec.trace, spec.exec);
+  auto metrics = core::RunBuild(*build, spec.variant, spec.max_instructions,
+                                spec.trace, spec.exec, spec.harts);
   if (!metrics.ok()) {
     outcome.status = metrics.status();
     return outcome;

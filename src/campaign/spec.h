@@ -49,9 +49,8 @@ struct RunSpec {
   core::SystemVariant variant = core::SystemVariant::kFullRoload;
   bool build_only = false;
   std::uint64_t max_instructions = 1ull << 34;
-  // Hart count for the run. 1 executes on the legacy single-hart System
-  // (bit-identical to every pre-SMP grid); >= 2 executes on an
-  // smp::Machine and appends "/h<N>" to the run name.
+  // Hart count of the run's core::System; >= 2 appends "/h<N>" to the
+  // run name.
   unsigned harts = 1;
   // Host execute tier for the run. All three tiers retire bit-identical
   // cycles and counters, so this axis only changes host speed — it exists

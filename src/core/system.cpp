@@ -1,47 +1,51 @@
 #include "core/system.h"
 
+#include <algorithm>
+#include <map>
+#include <utility>
+
 #include "support/strings.h"
 
 namespace roload::core {
 
 void RegisterCpuCounters(trace::CounterRegistry* counters,
-                         const cpu::Cpu& cpu, const std::string& prefix) {
+                         const cpu::Cpu& cpu) {
   const cpu::CpuStats& c = cpu.stats();
-  counters->Register(prefix + "cpu.cycles", &c.cycles);
-  counters->Register(prefix + "cpu.instret", &c.instructions);
-  counters->Register(prefix + "cpu.loads", &c.loads);
-  counters->Register(prefix + "cpu.stores", &c.stores);
-  counters->Register(prefix + "cpu.roload_loads", &c.roload_loads);
-  counters->Register(prefix + "cpu.branches", &c.branches);
-  counters->Register(prefix + "cpu.taken_branches", &c.taken_branches);
-  counters->Register(prefix + "cpu.indirect_jumps", &c.indirect_jumps);
+  counters->Register("cpu.cycles", &c.cycles);
+  counters->Register("cpu.instret", &c.instructions);
+  counters->Register("cpu.loads", &c.loads);
+  counters->Register("cpu.stores", &c.stores);
+  counters->Register("cpu.roload_loads", &c.roload_loads);
+  counters->Register("cpu.branches", &c.branches);
+  counters->Register("cpu.taken_branches", &c.taken_branches);
+  counters->Register("cpu.indirect_jumps", &c.indirect_jumps);
 
   const tlb::TlbStats& it = cpu.itlb_stats();
-  counters->Register(prefix + "tlb.i.hit", &it.hits);
-  counters->Register(prefix + "tlb.i.miss", &it.misses);
-  counters->Register(prefix + "tlb.i.flush", &it.flushes);
-  counters->Register(prefix + "tlb.i.permission_fault", &it.permission_faults);
+  counters->Register("tlb.i.hit", &it.hits);
+  counters->Register("tlb.i.miss", &it.misses);
+  counters->Register("tlb.i.flush", &it.flushes);
+  counters->Register("tlb.i.permission_fault", &it.permission_faults);
 
   const tlb::TlbStats& dt = cpu.dtlb_stats();
-  counters->Register(prefix + "tlb.d.hit", &dt.hits);
-  counters->Register(prefix + "tlb.d.miss", &dt.misses);
-  counters->Register(prefix + "tlb.d.flush", &dt.flushes);
-  counters->Register(prefix + "tlb.d.permission_fault", &dt.permission_faults);
-  counters->Register(prefix + "tlb.d.key_check", &dt.key_checks);
-  counters->Register(prefix + "tlb.d.key_check_hit", &dt.key_check_hits);
-  counters->Register(prefix + "tlb.d.key_fault", &dt.roload_key_faults);
-  counters->Register(prefix + "tlb.d.writable_fault",
+  counters->Register("tlb.d.hit", &dt.hits);
+  counters->Register("tlb.d.miss", &dt.misses);
+  counters->Register("tlb.d.flush", &dt.flushes);
+  counters->Register("tlb.d.permission_fault", &dt.permission_faults);
+  counters->Register("tlb.d.key_check", &dt.key_checks);
+  counters->Register("tlb.d.key_check_hit", &dt.key_check_hits);
+  counters->Register("tlb.d.key_fault", &dt.roload_key_faults);
+  counters->Register("tlb.d.writable_fault",
                      &dt.roload_writable_faults);
 
   const cache::CacheStats& ic = cpu.icache_stats();
-  counters->Register(prefix + "cache.i.hit", &ic.hits);
-  counters->Register(prefix + "cache.i.miss", &ic.misses);
-  counters->Register(prefix + "cache.i.writeback", &ic.writebacks);
+  counters->Register("cache.i.hit", &ic.hits);
+  counters->Register("cache.i.miss", &ic.misses);
+  counters->Register("cache.i.writeback", &ic.writebacks);
 
   const cache::CacheStats& dc = cpu.dcache_stats();
-  counters->Register(prefix + "cache.d.hit", &dc.hits);
-  counters->Register(prefix + "cache.d.miss", &dc.misses);
-  counters->Register(prefix + "cache.d.writeback", &dc.writebacks);
+  counters->Register("cache.d.hit", &dc.hits);
+  counters->Register("cache.d.miss", &dc.misses);
+  counters->Register("cache.d.writeback", &dc.writebacks);
 
   // Per-key key-check breakdown. The keys a run exercises are not known
   // up front, so this is a dynamic source over the dTLB's per-key table
@@ -50,14 +54,12 @@ void RegisterCpuCounters(trace::CounterRegistry* counters,
   // pins the invariant).
   const tlb::TlbStats* dtlb = &cpu.dtlb_stats();
   counters->RegisterSource(
-      [dtlb, prefix](std::vector<std::pair<std::string, std::uint64_t>>* out) {
+      [dtlb](std::vector<std::pair<std::string, std::uint64_t>>* out) {
         for (const tlb::TlbKeyCheckCount& entry : dtlb->key_check_by_key) {
-          out->emplace_back(
-              prefix + StrFormat("tlb.keycheck.pass.%u", entry.key),
-              entry.passes);
-          out->emplace_back(
-              prefix + StrFormat("tlb.keycheck.fail.%u", entry.key),
-              entry.fails);
+          out->emplace_back(StrFormat("tlb.keycheck.pass.%u", entry.key),
+                            entry.passes);
+          out->emplace_back(StrFormat("tlb.keycheck.fail.%u", entry.key),
+                            entry.fails);
         }
       });
 }
@@ -74,6 +76,7 @@ void RegisterKernelCounters(trace::CounterRegistry* counters,
 }
 
 System::System(const SystemConfig& config) : config_(config) {
+  ROLOAD_CHECK(config.harts >= 1);
   memory_ = std::make_unique<mem::PhysMemory>(config.memory_bytes);
 
   // The audit layer's census is fed by kRoLoad events, so enabling audit
@@ -92,25 +95,77 @@ System::System(const SystemConfig& config) : config_(config) {
   // Per-superblock telemetry rides the trace config: host-only collection
   // inside the translator, observation by construction.
   if (trace_config.jit) cpu_config.jit_stats = true;
-  cpu_ = std::make_unique<cpu::Cpu>(cpu_config, memory_.get());
+
+  if (config.harts >= 2) {
+    l2_ = std::make_unique<cache::Cache>(config.l2);
+    l2_->set_trace(trace_.get(), trace::Unit::kL2Cache);
+  }
+  std::vector<cpu::Cpu*> harts;
+  for (unsigned h = 0; h < config.harts; ++h) {
+    auto cpu = std::make_unique<cpu::Cpu>(cpu_config, memory_.get());
+    if (l2_ != nullptr) cpu->set_next_level_cache(l2_.get());
+    cpu->set_trace(trace_.get());
+    // One code-version table for the whole machine (block caches stay
+    // per-hart): a store on any hart must fail the self-modifying-code
+    // guard of blocks every other hart translated from that page.
+    if (h > 0) cpu->ShareCodeTable(cpus_[0]->code_table());
+    harts.push_back(cpu.get());
+    cpus_.push_back(std::move(cpu));
+  }
 
   kernel::KernelConfig kernel_config;
   kernel_config.roload_aware = config.variant == SystemVariant::kFullRoload;
+  kernel_config.tlb_shootdown = config.tlb_shootdown;
   kernel_ = std::make_unique<kernel::Kernel>(kernel_config, memory_.get(),
-                                             cpu_.get());
-
-  trace_->set_clock(&cpu_->stats().cycles);
-  cpu_->set_trace(trace_.get());
+                                             std::move(harts));
   kernel_->set_trace(trace_.get());
-  RegisterCpuCounters(&trace_->counters(), *cpu_);
-  RegisterKernelCounters(&trace_->counters(), *kernel_);
+  trace_->set_clock(&cpus_[0]->stats().cycles);
+
+  trace::CounterRegistry& counters = trace_->counters();
+  if (config.harts == 1) {
+    RegisterCpuCounters(&counters, *cpus_[0]);
+  } else {
+    // Each hart under "hart<N>.", and every one of those names summed
+    // into its unprefixed fleet aggregate; "smp.cycles_max" is the
+    // parallel wall-clock (what Run() reports).
+    hart_counters_.resize(config.harts);
+    for (unsigned h = 0; h < config.harts; ++h) {
+      RegisterCpuCounters(&hart_counters_[h], *cpus_[h]);
+    }
+    const std::vector<trace::CounterRegistry>* per_hart = &hart_counters_;
+    counters.RegisterSource(
+        [per_hart](std::vector<std::pair<std::string, std::uint64_t>>* out) {
+          std::map<std::string, std::uint64_t> sums;
+          std::uint64_t cycles_max = 0;
+          for (std::size_t h = 0; h < per_hart->size(); ++h) {
+            for (const auto& [name, value] : (*per_hart)[h].Snapshot()) {
+              out->emplace_back(StrFormat("hart%zu.", h) + name, value);
+              sums[name] += value;
+            }
+            cycles_max =
+                std::max(cycles_max, (*per_hart)[h].Value("cpu.cycles"));
+          }
+          out->insert(out->end(), sums.begin(), sums.end());
+          out->emplace_back("smp.harts", per_hart->size());
+          out->emplace_back("smp.cycles_max", cycles_max);
+        });
+    const cache::CacheStats& l2s = l2_->stats();
+    counters.Register("cache.l2.hit", &l2s.hits);
+    counters.Register("cache.l2.miss", &l2s.misses);
+    counters.Register("cache.l2.writeback", &l2s.writebacks);
+  }
+  RegisterKernelCounters(&counters, *kernel_);
 
   if (config_.trace.audit) {
-    auditor_ = std::make_unique<audit::Auditor>(cpu_.get(), memory_.get());
+    auditor_ = std::make_unique<audit::Auditor>(cpus_[0].get(),
+                                                memory_.get());
+    for (unsigned h = 1; h < config.harts; ++h) {
+      auditor_->RegisterHartCpu(h, cpus_[h].get());
+    }
     trace_->AddSink(auditor_.get());
     kernel_->set_fault_observer(auditor_.get());
     const audit::Auditor* auditor = auditor_.get();
-    trace_->counters().RegisterSource(
+    counters.RegisterSource(
         [auditor](std::vector<std::pair<std::string, std::uint64_t>>* out) {
           auditor->AppendCounters(out);
         });
@@ -123,7 +178,37 @@ Status System::Load(const asmtool::LinkImage& image) {
 }
 
 kernel::RunResult System::Run(std::uint64_t max_instructions) {
-  return kernel_->Run(max_instructions);
+  results_ = kernel_->Run(max_instructions, config_.quantum);
+
+  // Merge to one machine-level result: a kill wins (it halted the process
+  // and carries the faulting hart), then an instruction limit, then a
+  // clean exit with the first nonzero exit code.
+  const kernel::RunResult* pick = nullptr;
+  for (const kernel::ExitKind kind :
+       {kernel::ExitKind::kKilled, kernel::ExitKind::kInstructionLimit}) {
+    for (const kernel::RunResult& r : results_) {
+      if (pick == nullptr && r.kind == kind) pick = &r;
+    }
+  }
+  kernel::RunResult merged = pick != nullptr ? *pick : results_[0];
+  if (pick == nullptr) {
+    for (const kernel::RunResult& r : results_) {
+      if (r.exit_code != 0) {
+        merged.exit_code = r.exit_code;
+        merged.hart = r.hart;
+        break;
+      }
+    }
+  }
+  merged.instructions = 0;
+  merged.cycles = 0;
+  for (const kernel::RunResult& r : results_) {
+    merged.instructions += r.instructions;
+    merged.cycles = std::max(merged.cycles, r.cycles);
+  }
+  merged.stdout_text = results_[0].stdout_text;
+  merged.peak_mem_kib = results_[0].peak_mem_kib;
+  return merged;
 }
 
 }  // namespace roload::core

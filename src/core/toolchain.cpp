@@ -88,9 +88,10 @@ verify::Report Verify(const BuildResult& build) {
 StatusOr<RunMetrics> RunBuild(const BuildResult& build, SystemVariant variant,
                               std::uint64_t max_instructions,
                               const trace::TraceConfig& trace,
-                              cpu::ExecTier exec) {
+                              cpu::ExecTier exec, unsigned harts) {
   SystemConfig config;
   config.variant = variant;
+  config.harts = harts;
   config.trace = trace;
   cpu::SetExecTier(&config.cpu, exec);
   System system(config);
@@ -100,19 +101,29 @@ StatusOr<RunMetrics> RunBuild(const BuildResult& build, SystemVariant variant,
   RunMetrics metrics;
   metrics.cycles = run.cycles;
   metrics.instructions = run.instructions;
-  metrics.roload_loads = system.cpu().stats().roload_loads;
   metrics.peak_mem_kib = run.peak_mem_kib;
   metrics.image_bytes = build.image_bytes;
   metrics.exit_code = run.exit_code;
   metrics.completed = run.kind == kernel::ExitKind::kExited;
   metrics.roload_violation = run.roload_violation;
   metrics.stdout_text = run.stdout_text;
-  metrics.dtlb_miss_rate =
-      static_cast<double>(system.cpu().dtlb_stats().misses) /
-      static_cast<double>(system.cpu().dtlb_stats().hits +
-                          system.cpu().dtlb_stats().misses + 1);
-  metrics.dcache_miss_rate = system.cpu().dcache_stats().MissRate();
-  metrics.icache_miss_rate = system.cpu().icache_stats().MissRate();
+
+  tlb::TlbStats dtlb;
+  cache::CacheStats dcache, icache;
+  for (unsigned h = 0; h < harts; ++h) {
+    const cpu::Cpu& cpu = system.cpu(h);
+    metrics.roload_loads += cpu.stats().roload_loads;
+    dtlb.hits += cpu.dtlb_stats().hits;
+    dtlb.misses += cpu.dtlb_stats().misses;
+    dcache.hits += cpu.dcache_stats().hits;
+    dcache.misses += cpu.dcache_stats().misses;
+    icache.hits += cpu.icache_stats().hits;
+    icache.misses += cpu.icache_stats().misses;
+  }
+  metrics.dtlb_miss_rate = static_cast<double>(dtlb.misses) /
+                           static_cast<double>(dtlb.hits + dtlb.misses + 1);
+  metrics.dcache_miss_rate = dcache.MissRate();
+  metrics.icache_miss_rate = icache.MissRate();
   metrics.counters = system.trace().counters().Snapshot();
   if (trace.profile) {
     const trace::CycleProfiler& profiler = system.trace().profiler();
@@ -125,7 +136,9 @@ StatusOr<RunMetrics> RunBuild(const BuildResult& build, SystemVariant variant,
   }
   if (trace.jit) {
     trace::JitReport report;
-    system.cpu().AppendJitReport(&report, /*hart=*/0);
+    for (unsigned h = 0; h < harts; ++h) {
+      system.cpu(h).AppendJitReport(&report, h);
+    }
     trace::FinalizeJitReport(&report);
     trace::AppendJitCounters(report, &metrics.jit_counters);
   }
@@ -140,11 +153,6 @@ StatusOr<RunMetrics> CompileAndRun(const ir::Module& module,
   auto build = Build(module, options);
   if (!build.ok()) return build.status();
   return RunBuild(*build, variant, max_instructions, trace);
-}
-
-verify::Report VerifyLoadedImage(System& system,
-                                 const asmtool::LinkImage& image) {
-  return VerifyLoadedImage(system.kernel(), image);
 }
 
 verify::Report VerifyLoadedImage(kernel::Kernel& kernel,

@@ -114,73 +114,53 @@ inline constexpr unsigned kProtKeyShift = 16;
 
 // Per-hart supervisor state: the CSR analogues a real RISC-V kernel keeps
 // per hart (sepc/scause/stval snapshots of the last trap taken on that
-// hart) plus the shootdown bookkeeping. Hart 0 exists on every machine;
-// AttachHart() adds the rest.
+// hart) plus the shootdown bookkeeping.
 struct HartState {
-  bool alive = false;          // running under RunSmp
   std::uint64_t sepc = 0;      // pc of the last trap taken on this hart
   std::uint64_t scause = 0;    // its cause (isa::TrapCause value)
   std::uint64_t stval = 0;     // its faulting address
   std::uint64_t traps = 0;     // traps taken on this hart
   std::uint64_t shootdowns_received = 0;  // remote flushes delivered here
-  std::uint64_t start_instructions = 0;   // RunSmp accounting baseline
-  RunResult result;
 };
 
 class Kernel {
  public:
-  Kernel(const KernelConfig& config, mem::PhysMemory* memory, cpu::Cpu* cpu);
+  // `harts` are the machine's CPUs in hart-id order (at least one); they
+  // share `memory`.
+  Kernel(const KernelConfig& config, mem::PhysMemory* memory,
+         std::vector<cpu::Cpu*> harts);
 
-  // Creates the process address space from `image`, maps the stack, and
-  // points the CPU at the entry. Must be called before Run(). Equivalent
-  // to LoadProcess + activating the new process.
+  // Starts a new session: forgets every earlier context, loads `image`
+  // into a fresh process and boots it on every hart. Hart h enters at the
+  // image entry with a0 = h, a1 = hart count and its own stack (hart h's
+  // stack sits h stack-regions below stack_top).
   Status Load(const asmtool::LinkImage& image);
 
-  // Multi-process API: creates a process without activating it; returns
-  // its pid. Processes are scheduled round-robin by RunAll().
+  // Adds a process to the session without starting it and returns its
+  // pid; Run() time-slices the processes on the single hart. A machine
+  // with several harts runs exactly one process.
   StatusOr<int> LoadProcess(const asmtool::LinkImage& image);
 
-  // Runs the active process until exit, fatal signal, or the limit.
-  RunResult Run(std::uint64_t max_instructions);
+  // The scheduler. A context is one process on one hart: one per hart
+  // after Load, one per process after LoadProcess. Run() goes round-robin
+  // over the live contexts in load order on one host thread, so the
+  // interleaving is a pure function of the program and never of host
+  // parallelism. A lone context runs the whole remaining budget in one
+  // turn; otherwise every turn is `quantum` instructions. Context switches
+  // save/restore exactly the base architectural state (31 GPRs + pc +
+  // satp root): ROLoad adds no per-process state, and the root-tagged TLB
+  // needs no shootdown. Stops when every context has exited or died, or
+  // once `max_instructions` have retired across all contexts. A fatal
+  // signal kills the faulting process and so stops all of its contexts —
+  // with several harts, the whole machine. Returns one result per
+  // context, with the instructions retired by this call.
+  std::vector<RunResult> Run(std::uint64_t max_instructions,
+                             std::uint64_t quantum);
 
-  // Round-robin scheduler: runs every live process in `slice`-instruction
-  // time slices until all have exited/died or `total_limit` instructions
-  // have been executed overall. Context switches save/restore exactly the
-  // base architectural state (31 GPRs + pc + satp root): ROLoad adds no
-  // per-process state, and the root-tagged TLB needs no shootdown.
-  std::vector<RunResult> RunAll(std::uint64_t slice,
-                                std::uint64_t total_limit);
-
-  // ---- SMP API -------------------------------------------------------
-  // The machine starts with one hart (the constructor's cpu). AttachHart
-  // registers additional harts before LoadSmp; all harts share the
-  // physical memory and, under LoadSmp, one address space.
-  void AttachHart(cpu::Cpu* cpu);
   unsigned num_harts() const { return static_cast<unsigned>(harts_.size()); }
-  unsigned current_hart() const { return current_hart_; }
-  // Points the kernel (and the trace hub's clock/hart stamp, when harts
-  // have been attached) at hart `hart`. The SMP scheduler calls this at
-  // every quantum boundary.
-  void set_current_hart(unsigned hart);
   const HartState& hart_state(unsigned hart) const {
     return hart_states_[hart];
   }
-
-  // Loads `image` once and starts every attached hart in the shared
-  // address space: hart h enters at the image entry with a0 = h,
-  // a1 = num_harts and its own stack (hart h's stack sits h stack-regions
-  // below stack_top). Must be called after AttachHart.
-  Status LoadSmp(const asmtool::LinkImage& image);
-
-  // Deterministic SMP scheduler: round-robin over live harts in hart-id
-  // order, `quantum` instructions per turn, on one host thread — the
-  // interleaving is a pure function of the program, so runs reproduce
-  // exactly regardless of host parallelism. Stops when every hart has
-  // exited, any hart takes a fatal trap (the whole machine halts,
-  // recording the faulting hart), or `total_limit` instructions have
-  // retired across all harts. Returns one result per hart.
-  std::vector<RunResult> RunSmp(std::uint64_t quantum,
-                                std::uint64_t total_limit);
 
   std::uint64_t context_switches() const { return stats_.context_switches; }
   const KernelStats& stats() const { return stats_; }
@@ -201,18 +181,34 @@ class Kernel {
  private:
   struct Process {
     std::unique_ptr<AddressSpace> space;
-    std::array<std::uint64_t, isa::kNumRegs> regs{};
-    std::uint64_t pc = 0;
     std::uint64_t brk = 0;
     std::uint64_t mmap_cursor = 0;
     std::string stdout_text;
+  };
+
+  struct Context {
+    int pid = 0;
+    unsigned hart = 0;
+    // Architectural state, saved here while the context is switched out.
+    std::array<std::uint64_t, isa::kNumRegs> regs{};
+    std::uint64_t pc = 0;
     bool alive = true;
     RunResult result;
   };
 
-  // Saves the CPU state of the active process and restores `pid`'s.
-  void SwitchTo(int pid);
-  Process& active() { return processes_[static_cast<std::size_t>(active_)]; }
+  // One scheduler turn: runs context `index` on its hart for up to
+  // `budget` instructions; returns the instructions it retired.
+  std::uint64_t Turn(std::size_t index, std::uint64_t budget);
+  // Points the kernel (and, with several harts, the trace hub's clock and
+  // hart stamp) at hart `hart`.
+  void SetCurrentHart(unsigned hart);
+  // Installs context `index` on the current hart, saving the state of the
+  // context it displaces.
+  void SwitchTo(std::size_t index);
+  Process& current() {
+    return processes_[static_cast<std::size_t>(
+        contexts_[static_cast<std::size_t>(installed_[current_hart_])].pid)];
+  }
 
   // Services the ecall the CPU just raised. Returns true when the process
   // should keep running.
@@ -231,15 +227,15 @@ class Kernel {
   KernelConfig config_;
   mem::PhysMemory* memory_;
   // The running hart's CPU — every handler below reads architectural
-  // state through it. Single-hart kernels never re-point it; the SMP
-  // scheduler moves it via set_current_hart.
+  // state through it; the scheduler moves it with SetCurrentHart.
   cpu::Cpu* cpu_;
-  std::vector<cpu::Cpu*> harts_;      // harts_[0] is the constructor's cpu
+  std::vector<cpu::Cpu*> harts_;
   std::vector<HartState> hart_states_;
   unsigned current_hart_ = 0;
   std::unique_ptr<FrameAllocator> frames_;
   std::vector<Process> processes_;
-  int active_ = -1;
+  std::vector<Context> contexts_;
+  std::vector<int> installed_;  // per hart: the context it holds, or -1
   KernelStats stats_;
   trace::Hub* trace_ = nullptr;
   FatalFaultObserver* fault_observer_ = nullptr;

@@ -3,7 +3,6 @@
 #include "asmtool/image.h"
 #include "audit/audit.h"
 #include "ir/builder.h"
-#include "smp/machine.h"
 
 namespace roload::sec {
 namespace {
@@ -171,11 +170,6 @@ ir::Module MakeVictimModule() {
   return module;
 }
 
-StatusOr<AttackResult> RunAttack(AttackKind kind, core::Defense defense,
-                                 core::SystemVariant variant) {
-  return RunAttackSmp(kind, defense, /*harts=*/1, variant);
-}
-
 StatusOr<AttackResult> RunAttackSmp(AttackKind kind, core::Defense defense,
                                     unsigned harts,
                                     core::SystemVariant variant,
@@ -202,10 +196,10 @@ StatusOr<AttackResult> RunAttackSmp(AttackKind kind, core::Defense defense,
   // deterministic scheduler makes reproducible).
   std::int64_t baseline_exit = 0;
   {
-    smp::SmpConfig config;
+    core::SystemConfig config;
     config.variant = variant;
     config.harts = harts;
-    smp::Machine machine(config);
+    core::System machine(config);
     ROLOAD_RETURN_IF_ERROR(machine.Load(build->image));
     const kernel::RunResult run = machine.Run();
     if (run.kind != kernel::ExitKind::kExited) {
@@ -215,13 +209,13 @@ StatusOr<AttackResult> RunAttackSmp(AttackKind kind, core::Defense defense,
     baseline_exit = run.exit_code;
   }
 
-  smp::SmpConfig config;
+  core::SystemConfig config;
   config.variant = variant;
   config.harts = harts;
   // Forensics on: a blocked run must explain *how* it was blocked (which
   // ld.ro, which keys disagreed) — that's the evidence the result carries.
   config.trace.audit = true;
-  smp::Machine machine(config);
+  core::System machine(config);
   ROLOAD_RETURN_IF_ERROR(machine.Load(build->image));
 
   // Phase 1: run the victim into its steady state — on an SMP machine,

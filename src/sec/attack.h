@@ -51,7 +51,7 @@ struct AttackResult {
   int signal = 0;
   std::int64_t exit_code = 0;
 
-  // Forensics from the audit layer (src/audit), which RunAttack keeps
+  // Forensics from the audit layer (src/audit), which RunAttackSmp keeps
   // enabled on the attacked system. `has_autopsy` is true exactly when the
   // block came through the ROLoad fault path — CFI/VTint software aborts
   // exit cleanly and leave no autopsy.
@@ -92,26 +92,19 @@ struct AttackResult {
 // a sentinel when executed.
 ir::Module MakeVictimModule();
 
-// Builds the victim with `defense`, runs it on `variant`, injects `kind`
-// mid-execution, and classifies the outcome.
-StatusOr<AttackResult> RunAttack(AttackKind kind, core::Defense defense,
-                                 core::SystemVariant variant =
-                                     core::SystemVariant::kFullRoload);
-
-// The under-load variant: the victim serves on every hart of a
-// `harts`-hart SMP machine (one shared address space, so every hart
+// Builds the victim with `defense`, runs it on a `harts`-hart system of
+// `variant`, injects `kind` mid-execution, and classifies the outcome. The
+// victim serves on every hart (one shared address space, so every hart
 // dispatches through the same object and function-pointer slot), and the
 // corruption lands mid-run while the other harts are mid-dispatch. The
-// result records which hart's keyed dispatch caught the attack. With
-// harts == 1 this is exactly RunAttack — the single-hart machine is
-// bit-identical to the legacy System.
+// result records which hart's keyed dispatch caught the attack.
 //
 // `inject_hart` picks whose debug port the arbitrary write goes through
 // (must be < harts). The address space is shared, so the verdict, the
 // catching hart and the autopsy must not depend on it — the parity test in
 // tests/test_smp.cpp pins hart-0 vs hart-(N-1) injection equal.
 StatusOr<AttackResult> RunAttackSmp(AttackKind kind, core::Defense defense,
-                                    unsigned harts,
+                                    unsigned harts = 1,
                                     core::SystemVariant variant =
                                         core::SystemVariant::kFullRoload,
                                     unsigned inject_hart = 0);

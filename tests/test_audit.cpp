@@ -262,8 +262,8 @@ TEST(AuditDifferentialTest, AuditingIsBitIdenticalToDisabled) {
 // autopsy whose keys disagree in exactly the way the sabotage predicts.
 
 TEST(AuditAttackTest, VtableInjectionAutopsyShowsWritablePage) {
-  auto run = sec::RunAttack(sec::AttackKind::kVtableInjection,
-                            core::Defense::kVCall);
+  auto run = sec::RunAttackSmp(sec::AttackKind::kVtableInjection,
+                               core::Defense::kVCall);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   EXPECT_EQ(run->outcome, sec::AttackOutcome::kBlocked);
   ASSERT_TRUE(run->has_autopsy);
@@ -278,8 +278,8 @@ TEST(AuditAttackTest, VtableInjectionAutopsyShowsWritablePage) {
 }
 
 TEST(AuditAttackTest, FnPtrHijackAutopsyShowsKeyEvidence) {
-  auto run = sec::RunAttack(sec::AttackKind::kFnPtrCorruptToEvil,
-                            core::Defense::kICall);
+  auto run = sec::RunAttackSmp(sec::AttackKind::kFnPtrCorruptToEvil,
+                               core::Defense::kICall);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   EXPECT_EQ(run->outcome, sec::AttackOutcome::kBlocked);
   ASSERT_TRUE(run->has_autopsy);
@@ -297,8 +297,8 @@ TEST(AuditAttackTest, FnPtrHijackAutopsyShowsKeyEvidence) {
 }
 
 TEST(AuditAttackTest, CfiAbortBlocksWithoutAutopsy) {
-  auto run = sec::RunAttack(sec::AttackKind::kFnPtrCorruptToEvil,
-                            core::Defense::kClassicCfi);
+  auto run = sec::RunAttackSmp(sec::AttackKind::kFnPtrCorruptToEvil,
+                               core::Defense::kClassicCfi);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   EXPECT_EQ(run->outcome, sec::AttackOutcome::kBlocked);
   // Software CFI aborts via exit(134): no fault, no autopsy.
@@ -307,8 +307,8 @@ TEST(AuditAttackTest, CfiAbortBlocksWithoutAutopsy) {
 }
 
 TEST(AuditAttackTest, UndefendedHijackIsClassifiedMissed) {
-  auto run = sec::RunAttack(sec::AttackKind::kFnPtrCorruptToEvil,
-                            core::Defense::kNone);
+  auto run = sec::RunAttackSmp(sec::AttackKind::kFnPtrCorruptToEvil,
+                               core::Defense::kNone);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   EXPECT_EQ(run->outcome, sec::AttackOutcome::kHijacked);
   EXPECT_EQ(run->classification, "missed:hijacked");

@@ -16,7 +16,6 @@
 #include "asmtool/assembler.h"
 #include "core/toolchain.h"
 #include "sec/attack.h"
-#include "smp/machine.h"
 #include "support/strings.h"
 #include "workloads/spec_like.h"
 
@@ -60,10 +59,8 @@ core::BuildResult MustBuild(const workloads::WorkloadSpec& spec,
 }
 
 core::RunMetrics MustRun(const core::BuildResult& build, unsigned harts) {
-  auto metrics =
-      harts == 1
-          ? core::RunBuild(build, core::SystemVariant::kFullRoload)
-          : smp::RunBuildSmp(build, core::SystemVariant::kFullRoload, harts);
+  auto metrics = core::RunBuild(build, core::SystemVariant::kFullRoload,
+                                1ull << 34, {}, cpu::ExecTier::kFast, harts);
   EXPECT_TRUE(metrics.ok()) << metrics.status().ToString();
   return std::move(*metrics);
 }
@@ -171,8 +168,8 @@ TEST(GoldenRunTest, TwoProcessesTimeSlicedOnOneHart) {
     ASSERT_TRUE(image.ok()) << image.status().ToString();
     ASSERT_TRUE(system.kernel().LoadProcess(*image).ok());
   }
-  const auto results = system.kernel().RunAll(/*slice=*/100,
-                                              /*total_limit=*/1 << 22);
+  const auto results = system.kernel().Run(/*max_instructions=*/1 << 22,
+                                           /*quantum=*/100);
   ASSERT_EQ(results.size(), 2u);
   const Snapshot counters = system.trace().counters().Snapshot();
   std::vector<std::string> actual = {StrFormat(

@@ -12,7 +12,6 @@
 
 #include "core/system.h"
 #include "core/toolchain.h"
-#include "smp/machine.h"
 #include "support/json_parse.h"
 #include "tests/guest_util.h"
 #include "trace/jitstats.h"
@@ -63,11 +62,11 @@ TEST(JitStatsTest, StatsOnIsBitIdenticalToStatsOffUnderSmp) {
   trace::TraceConfig with_jit;
   with_jit.jit = true;
   const auto off =
-      smp::RunBuildSmp(build, core::SystemVariant::kFullRoload, 2,
-                       1ull << 34, {}, cpu::ExecTier::kTranslated);
+      core::RunBuild(build, core::SystemVariant::kFullRoload, 1ull << 34, {},
+                     cpu::ExecTier::kTranslated, /*harts=*/2);
   const auto on =
-      smp::RunBuildSmp(build, core::SystemVariant::kFullRoload, 2,
-                       1ull << 34, with_jit, cpu::ExecTier::kTranslated);
+      core::RunBuild(build, core::SystemVariant::kFullRoload, 1ull << 34,
+                     with_jit, cpu::ExecTier::kTranslated, /*harts=*/2);
   ASSERT_TRUE(off.ok()) << off.status().ToString();
   ASSERT_TRUE(on.ok()) << on.status().ToString();
   EXPECT_EQ(off->cycles, on->cycles);
@@ -327,8 +326,8 @@ TEST(JitStatsTest, ProfileBucketsSumToCyclesUnderSmpTranslation) {
   trace::TraceConfig trace;
   trace.profile = true;
   const auto metrics =
-      smp::RunBuildSmp(build, core::SystemVariant::kFullRoload, 4,
-                       1ull << 34, trace, cpu::ExecTier::kTranslated);
+      core::RunBuild(build, core::SystemVariant::kFullRoload, 1ull << 34,
+                     trace, cpu::ExecTier::kTranslated, /*harts=*/4);
   ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
   ASSERT_FALSE(metrics->profile.empty());
   // RunMetrics::cycles is the parallel wall-clock (max over harts); the

@@ -52,8 +52,8 @@ class MultiProcessTest : public ::testing::Test {
 TEST_F(MultiProcessTest, TwoProcessesInterleaveAndBothFinish) {
   MustLoad(KeyedWorker(/*tag=*/1, /*key=*/101, /*iters=*/500));
   MustLoad(KeyedWorker(/*tag=*/2, /*key=*/102, /*iters=*/500));
-  auto results = system_.kernel().RunAll(/*slice=*/100,
-                                         /*total_limit=*/1 << 22);
+  auto results = system_.kernel().Run(/*max_instructions=*/1 << 22,
+                                      /*quantum=*/100);
   ASSERT_EQ(results.size(), 2u);
   EXPECT_EQ(results[0].kind, ExitKind::kExited);
   EXPECT_EQ(results[1].kind, ExitKind::kExited);
@@ -71,8 +71,8 @@ TEST_F(MultiProcessTest, KeysAreScopedPerAddressSpace) {
   // property the paper's design implies).
   MustLoad(KeyedWorker(/*tag=*/5, /*key=*/200, /*iters=*/300));
   MustLoad(KeyedWorker(/*tag=*/9, /*key=*/200, /*iters=*/300));
-  auto results = system_.kernel().RunAll(/*slice=*/64,
-                                         /*total_limit=*/1 << 22);
+  auto results = system_.kernel().Run(/*max_instructions=*/1 << 22,
+                                      /*quantum=*/64);
   EXPECT_EQ(results[0].exit_code, (5 * 300) & 63);
   EXPECT_EQ(results[1].exit_code, (9 * 300) & 63);
 }
@@ -83,7 +83,7 @@ TEST_F(MultiProcessTest, TlbIsolationWithoutShootdown) {
   // correct across switches (the scheduler never calls FlushTlbs).
   MustLoad(KeyedWorker(1, 101, 400));
   MustLoad(KeyedWorker(2, 102, 400));
-  system_.kernel().RunAll(/*slice=*/50, /*total_limit=*/1 << 22);
+  system_.kernel().Run(/*max_instructions=*/1 << 22, /*quantum=*/50);
   const auto& stats = system_.cpu().dtlb_stats();
   // Two processes x (1 rodata page + stack page) stay cached: misses stay
   // near the cold-start count instead of scaling with switch count.
@@ -113,8 +113,8 @@ my_tag: .quad 7
   ASSERT_TRUE(bad.ok());
   ASSERT_TRUE(fresh.kernel().LoadProcess(*good).ok());
   ASSERT_TRUE(fresh.kernel().LoadProcess(*bad).ok());
-  auto results = fresh.kernel().RunAll(/*slice=*/64,
-                                       /*total_limit=*/1 << 22);
+  auto results = fresh.kernel().Run(/*max_instructions=*/1 << 22,
+                                    /*quantum=*/64);
   EXPECT_EQ(results[0].kind, ExitKind::kExited);
   EXPECT_EQ(results[0].exit_code, 300 & 63);
   EXPECT_EQ(results[1].kind, ExitKind::kKilled);
@@ -146,14 +146,14 @@ msg: .asciz "%s"
   ASSERT_TRUE(b.ok());
   ASSERT_TRUE(fresh.kernel().LoadProcess(*a).ok());
   ASSERT_TRUE(fresh.kernel().LoadProcess(*b).ok());
-  auto results = fresh.kernel().RunAll(4, 1 << 20);
+  auto results = fresh.kernel().Run(1 << 20, /*quantum=*/4);
   EXPECT_EQ(results[0].stdout_text, "AAA");
   EXPECT_EQ(results[1].stdout_text, "BBB");
 }
 
 TEST_F(MultiProcessTest, SingleProcessApiStillWorks) {
-  // The legacy Load/Run pair must behave exactly as before on top of the
-  // multi-process internals.
+  // The single-process Load/Run pair runs on the same scheduler as the
+  // multi-process API.
   auto image = asmtool::Assemble(KeyedWorker(3, 300, 100));
   ASSERT_TRUE(image.ok());
   core::System fresh;

@@ -17,7 +17,7 @@ struct MatrixCase {
 class SecurityMatrixTest : public ::testing::TestWithParam<MatrixCase> {};
 
 TEST_P(SecurityMatrixTest, OutcomeMatchesPaperClaim) {
-  auto result = RunAttack(GetParam().attack, GetParam().defense);
+  auto result = RunAttackSmp(GetParam().attack, GetParam().defense);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->outcome, GetParam().expected)
       << AttackKindName(GetParam().attack) << " vs "
@@ -78,7 +78,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(AttackDetailTest, RoLoadBlocksAreAttributedByTheKernel) {
   auto result =
-      RunAttack(AttackKind::kVtableInjection, core::Defense::kVCall);
+      RunAttackSmp(AttackKind::kVtableInjection, core::Defense::kVCall);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->outcome, AttackOutcome::kBlocked);
   EXPECT_TRUE(result->roload_violation)
@@ -87,8 +87,8 @@ TEST(AttackDetailTest, RoLoadBlocksAreAttributedByTheKernel) {
 }
 
 TEST(AttackDetailTest, CfiBlocksAreAbortsNotFaults) {
-  auto result = RunAttack(AttackKind::kFnPtrCorruptToEvil,
-                          core::Defense::kClassicCfi);
+  auto result = RunAttackSmp(AttackKind::kFnPtrCorruptToEvil,
+                             core::Defense::kClassicCfi);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->outcome, AttackOutcome::kBlocked);
   EXPECT_FALSE(result->roload_violation);
@@ -96,12 +96,12 @@ TEST(AttackDetailTest, CfiBlocksAreAbortsNotFaults) {
 
 TEST(AttackDetailTest, VictimRunsCleanlyUnderEveryDefense) {
   // Sanity for the harness itself: without an attack the victim exits
-  // normally under all defenses (checked internally by RunAttack, which
+  // normally under all defenses (checked internally by RunAttackSmp, which
   // errors out otherwise — exercise one defense per family here).
   for (core::Defense defense :
        {core::Defense::kNone, core::Defense::kVCall, core::Defense::kVTint,
         core::Defense::kICall, core::Defense::kClassicCfi}) {
-    auto result = RunAttack(AttackKind::kFnPtrReuseSameType, defense);
+    auto result = RunAttackSmp(AttackKind::kFnPtrReuseSameType, defense);
     EXPECT_TRUE(result.ok()) << core::DefenseName(defense) << ": "
                              << result.status().ToString();
   }

@@ -1,8 +1,7 @@
-// src/smp tests: the single-hart bit-identity contract (an SMP machine
-// with harts == 1 IS the legacy System, cycle-for-cycle and counter-for-
-// counter), the TLB-shootdown race (a cross-hart re-key must never leave
-// a stale keyed translation live), RPC-server scaling, determinism of the
-// timing-interleaved scheduler, and SMP audit attribution.
+// Multi-hart machine tests: the per-hart counter namespaces and their
+// fleet aggregates, the TLB-shootdown race (a cross-hart re-key must never
+// leave a stale keyed translation live), RPC-server scaling, determinism
+// of the timing-interleaved scheduler, and SMP audit attribution.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -10,12 +9,12 @@
 #include <string>
 
 #include "asmtool/assembler.h"
+#include "core/system.h"
 #include "core/toolchain.h"
 #include "sec/attack.h"
-#include "smp/machine.h"
 #include "workloads/spec_like.h"
 
-namespace roload::smp {
+namespace roload::core {
 namespace {
 
 core::BuildResult BuildWorkload(const workloads::WorkloadSpec& spec,
@@ -27,64 +26,20 @@ core::BuildResult BuildWorkload(const workloads::WorkloadSpec& spec,
   return std::move(*build);
 }
 
-// --- Bit identity: harts == 1 is exactly the legacy System. ------------
-
-class SmpBitIdentityTest : public ::testing::TestWithParam<core::Defense> {};
-
-TEST_P(SmpBitIdentityTest, SpecLikeWorkloadMatchesLegacyRunExactly) {
-  const auto build =
-      BuildWorkload(workloads::SpecCppSubset(0.05)[0], GetParam());
-  const auto legacy =
-      core::RunBuild(build, core::SystemVariant::kFullRoload);
-  const auto smp =
-      RunBuildSmp(build, core::SystemVariant::kFullRoload, /*harts=*/1);
-  ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
-  ASSERT_TRUE(smp.ok()) << smp.status().ToString();
-  EXPECT_TRUE(smp->completed);
-  EXPECT_EQ(legacy->cycles, smp->cycles);
-  EXPECT_EQ(legacy->instructions, smp->instructions);
-  EXPECT_EQ(legacy->exit_code, smp->exit_code);
-  EXPECT_EQ(legacy->roload_loads, smp->roload_loads);
-  EXPECT_EQ(legacy->peak_mem_kib, smp->peak_mem_kib);
-  // Every counter, by name and value — the strongest form of the claim.
-  EXPECT_EQ(legacy->counters, smp->counters);
+StatusOr<core::RunMetrics> RunOnHarts(const core::BuildResult& build,
+                                      unsigned harts) {
+  return core::RunBuild(build, core::SystemVariant::kFullRoload, 1ull << 34,
+                        {}, cpu::ExecTier::kFast, harts);
 }
-
-TEST_P(SmpBitIdentityTest, RpcServerWorkloadMatchesLegacyRunExactly) {
-  // The RPC main receives (0, 0) from the legacy loader and degrades to
-  // serving every request on hart 0; that run must be bit-identical too.
-  const auto build =
-      BuildWorkload(workloads::RpcServerWorkload(200), GetParam());
-  const auto legacy =
-      core::RunBuild(build, core::SystemVariant::kFullRoload);
-  const auto smp =
-      RunBuildSmp(build, core::SystemVariant::kFullRoload, /*harts=*/1);
-  ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
-  ASSERT_TRUE(smp.ok()) << smp.status().ToString();
-  EXPECT_TRUE(smp->completed);
-  EXPECT_EQ(legacy->cycles, smp->cycles);
-  EXPECT_EQ(legacy->instructions, smp->instructions);
-  EXPECT_EQ(legacy->exit_code, smp->exit_code);
-  EXPECT_EQ(legacy->counters, smp->counters);
-}
-
-INSTANTIATE_TEST_SUITE_P(Defenses, SmpBitIdentityTest,
-                         ::testing::Values(core::Defense::kNone,
-                                           core::Defense::kVCall,
-                                           core::Defense::kICall),
-                         [](const auto& info) {
-                           return std::string(
-                               core::DefenseName(info.param));
-                         });
 
 // --- RPC-server scaling and scheduler determinism. ---------------------
 
 TEST(SmpRpcScalingTest, MoreHartsReduceWallClockCycles) {
   const auto build =
       BuildWorkload(workloads::RpcServerWorkload(400), core::Defense::kVCall);
-  const auto one = RunBuildSmp(build, core::SystemVariant::kFullRoload, 1);
-  const auto two = RunBuildSmp(build, core::SystemVariant::kFullRoload, 2);
-  const auto four = RunBuildSmp(build, core::SystemVariant::kFullRoload, 4);
+  const auto one = RunOnHarts(build, 1);
+  const auto two = RunOnHarts(build, 2);
+  const auto four = RunOnHarts(build, 4);
   ASSERT_TRUE(one.ok() && two.ok() && four.ok());
   EXPECT_TRUE(one->completed);
   EXPECT_TRUE(two->completed);
@@ -109,8 +64,7 @@ TEST(SmpCounterTest, AggregatesPartitionIntoPerHartCounters) {
   const auto build =
       BuildWorkload(workloads::RpcServerWorkload(200), core::Defense::kICall);
   for (const unsigned harts : {2u, 4u}) {
-    const auto metrics =
-        RunBuildSmp(build, core::SystemVariant::kFullRoload, harts);
+    const auto metrics = RunOnHarts(build, harts);
     ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
     std::map<std::string, std::uint64_t> aggregates;
     std::map<std::string, std::uint64_t> hart_sums;
@@ -133,8 +87,8 @@ TEST(SmpCounterTest, AggregatesPartitionIntoPerHartCounters) {
 TEST(SmpRpcScalingTest, InterleavingIsDeterministic) {
   const auto build =
       BuildWorkload(workloads::RpcServerWorkload(300), core::Defense::kVCall);
-  const auto a = RunBuildSmp(build, core::SystemVariant::kFullRoload, 2);
-  const auto b = RunBuildSmp(build, core::SystemVariant::kFullRoload, 2);
+  const auto a = RunOnHarts(build, 2);
+  const auto b = RunOnHarts(build, 2);
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_EQ(a->cycles, b->cycles);
   EXPECT_EQ(a->instructions, b->instructions);
@@ -197,7 +151,17 @@ page:
   .quad 77
 )";
 
-kernel::RunResult RunRace(Machine* machine) {
+TEST(SmpKernelTest, MultiHartMachineRunsOneProcess) {
+  auto image = asmtool::Assemble(kShootdownRaceGuest);
+  ASSERT_TRUE(image.ok()) << image.status().ToString();
+  SystemConfig config;
+  config.harts = 2;
+  System machine(config);
+  ASSERT_TRUE(machine.Load(*image).ok());
+  EXPECT_FALSE(machine.kernel().LoadProcess(*image).ok());
+}
+
+kernel::RunResult RunRace(System* machine) {
   auto image = asmtool::Assemble(kShootdownRaceGuest);
   EXPECT_TRUE(image.ok()) << image.status().ToString();
   Status status = machine->Load(*image);
@@ -206,10 +170,10 @@ kernel::RunResult RunRace(Machine* machine) {
 }
 
 TEST(TlbShootdownTest, CrossHartRekeyFaultsTheNextKeyedLoad) {
-  SmpConfig config;
+  SystemConfig config;
   config.harts = 2;
   config.quantum = 100;  // tight interleave: the race window is real
-  Machine machine(config);
+  System machine(config);
   const kernel::RunResult result = RunRace(&machine);
   ASSERT_EQ(result.kind, kernel::ExitKind::kKilled);
   EXPECT_TRUE(result.roload_violation);
@@ -221,11 +185,11 @@ TEST(TlbShootdownTest, CrossHartRekeyFaultsTheNextKeyedLoad) {
 }
 
 TEST(TlbShootdownTest, LocalOnlyFlushLeavesTheStaleTranslationLive) {
-  SmpConfig config;
+  SystemConfig config;
   config.harts = 2;
   config.quantum = 100;
   config.tlb_shootdown = false;  // the unsound kernel
-  Machine machine(config);
+  System machine(config);
   const kernel::RunResult result = RunRace(&machine);
   // The stale key-5 entry still matches on hart 1: the keyed load
   // succeeds against a page that is no longer key 5 — exactly the hole
@@ -239,11 +203,11 @@ TEST(TlbShootdownTest, LocalOnlyFlushLeavesTheStaleTranslationLive) {
 // --- SMP audit attribution. --------------------------------------------
 
 TEST(SmpAuditTest, AutopsyRecordsTheFaultingHart) {
-  SmpConfig config;
+  SystemConfig config;
   config.harts = 2;
   config.quantum = 100;
   config.trace.audit = true;
-  Machine machine(config);
+  System machine(config);
   const kernel::RunResult result = RunRace(&machine);
   ASSERT_EQ(result.kind, kernel::ExitKind::kKilled);
   ASSERT_NE(machine.audit(), nullptr);
@@ -260,10 +224,10 @@ TEST(SmpAuditTest, AutopsyRecordsTheFaultingHart) {
 TEST(SmpAuditTest, CensusKeysSitesByHartAndPc) {
   const auto build =
       BuildWorkload(workloads::RpcServerWorkload(300), core::Defense::kVCall);
-  SmpConfig config;
+  SystemConfig config;
   config.harts = 2;
   config.trace.audit = true;
-  Machine machine(config);
+  System machine(config);
   ASSERT_TRUE(machine.Load(build.image).ok());
   const kernel::RunResult result = machine.Run(1ull << 30);
   ASSERT_EQ(result.kind, kernel::ExitKind::kExited);
@@ -350,17 +314,5 @@ TEST(SmpAttackTest, InjectHartOutOfRangeIsRejected) {
   EXPECT_FALSE(result.ok());
 }
 
-TEST(SmpAttackTest, SingleHartOverloadMatchesLegacyRunAttack) {
-  const auto legacy = sec::RunAttack(sec::AttackKind::kVtableInjection,
-                                     core::Defense::kVCall);
-  const auto smp = sec::RunAttackSmp(sec::AttackKind::kVtableInjection,
-                                     core::Defense::kVCall, /*harts=*/1);
-  ASSERT_TRUE(legacy.ok() && smp.ok());
-  EXPECT_EQ(legacy->outcome, smp->outcome);
-  EXPECT_EQ(legacy->classification, smp->classification);
-  EXPECT_EQ(legacy->fault_pc, smp->fault_pc);
-  EXPECT_EQ(legacy->counters, smp->counters);
-}
-
 }  // namespace
-}  // namespace roload::smp
+}  // namespace roload::core

@@ -16,7 +16,6 @@
 #include "asmtool/assembler.h"
 #include "core/system.h"
 #include "core/toolchain.h"
-#include "smp/machine.h"
 #include "tests/guest_util.h"
 #include "workloads/spec_like.h"
 
@@ -72,11 +71,11 @@ TEST_P(TranslateDifferentialTest, MatchesReferenceAcrossHartCounts) {
       BuildWorkload(workloads::RpcServerWorkload(200), GetParam());
   for (unsigned harts : {1u, 2u, 4u}) {
     const auto reference =
-        smp::RunBuildSmp(build, core::SystemVariant::kFullRoload, harts,
-                         1ull << 34, {}, cpu::ExecTier::kInterp);
+        core::RunBuild(build, core::SystemVariant::kFullRoload, 1ull << 34,
+                       {}, cpu::ExecTier::kInterp, harts);
     const auto translated =
-        smp::RunBuildSmp(build, core::SystemVariant::kFullRoload, harts,
-                         1ull << 34, {}, cpu::ExecTier::kTranslated);
+        core::RunBuild(build, core::SystemVariant::kFullRoload, 1ull << 34,
+                       {}, cpu::ExecTier::kTranslated, harts);
     ASSERT_TRUE(reference.ok()) << reference.status().ToString();
     ASSERT_TRUE(translated.ok()) << translated.status().ToString();
     ExpectIdenticalMetrics(*reference, *translated,
@@ -200,7 +199,7 @@ page:
   .quad 77
 )";
 
-kernel::RunResult RunRace(smp::Machine* machine) {
+kernel::RunResult RunRace(core::System* machine) {
   auto image = asmtool::Assemble(kShootdownRaceGuest);
   EXPECT_TRUE(image.ok()) << image.status().ToString();
   Status status = machine->Load(*image);
@@ -209,12 +208,12 @@ kernel::RunResult RunRace(smp::Machine* machine) {
 }
 
 TEST(TranslateTest, ShootdownRaceStillFaultsUnderTranslation) {
-  smp::SmpConfig config;
+  core::SystemConfig config;
   config.harts = 2;
   config.quantum = 100;
   cpu::SetExecTier(&config.cpu, cpu::ExecTier::kTranslated);
   config.cpu.translate_threshold = 1;  // spin loops translate immediately
-  smp::Machine machine(config);
+  core::System machine(config);
   const kernel::RunResult translated = RunRace(&machine);
   ASSERT_EQ(translated.kind, kernel::ExitKind::kKilled);
   EXPECT_TRUE(translated.roload_violation);
@@ -222,11 +221,11 @@ TEST(TranslateTest, ShootdownRaceStillFaultsUnderTranslation) {
   EXPECT_GE(machine.kernel().hart_state(1).shootdowns_received, 1u);
 
   // And cycle-for-cycle equal to the untranslated machine.
-  smp::SmpConfig reference_config;
+  core::SystemConfig reference_config;
   reference_config.harts = 2;
   reference_config.quantum = 100;
   cpu::SetExecTier(&reference_config.cpu, cpu::ExecTier::kInterp);
-  smp::Machine reference(reference_config);
+  core::System reference(reference_config);
   const kernel::RunResult interp = RunRace(&reference);
   ASSERT_EQ(interp.kind, kernel::ExitKind::kKilled);
   EXPECT_EQ(interp.hart, translated.hart);

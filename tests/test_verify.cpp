@@ -1136,7 +1136,7 @@ TEST(LoaderVerifyTest, RoloadAwareKernelPassesCrossCheck) {
   const asmtool::LinkImage image = MustAssemble(kKeyedGuest);
   core::System system({.variant = core::SystemVariant::kFullRoload});
   ASSERT_TRUE(system.Load(image).ok());
-  const Report report = core::VerifyLoadedImage(system, image);
+  const Report report = core::VerifyLoadedImage(system.kernel(), image);
   EXPECT_TRUE(report.ok()) << report.ToText();
   EXPECT_GE(report.stats().keyed_sections, 1u);
 }
@@ -1148,7 +1148,7 @@ TEST(LoaderVerifyTest, RoloadUnawareKernelIsFlagged) {
   const asmtool::LinkImage image = MustAssemble(kKeyedGuest);
   core::System system({.variant = core::SystemVariant::kProcessorModified});
   ASSERT_TRUE(system.Load(image).ok());
-  const Report report = core::VerifyLoadedImage(system, image);
+  const Report report = core::VerifyLoadedImage(system.kernel(), image);
   ASSERT_FALSE(report.ok());
   EXPECT_EQ(SmallestRuleId(report), RuleId(Rule::kLoaderKeyMismatch));
   EXPECT_NE(report.ToText().find("roload-unaware loader?"),
@@ -1170,7 +1170,7 @@ TEST(LoaderVerifyTest, RemappedWritableAllowlistIsFlagged) {
                   .address_space()
                   ->Protect(table_vaddr, 1, kernel::PageProt::Rw())
                   .ok());
-  const Report report = core::VerifyLoadedImage(system, image);
+  const Report report = core::VerifyLoadedImage(system.kernel(), image);
   ASSERT_FALSE(report.ok());
   EXPECT_EQ(SmallestRuleId(report), RuleId(Rule::kLoaderKeyMismatch));
   EXPECT_NE(report.ToText().find("mapped writable"), std::string::npos);
@@ -1179,7 +1179,7 @@ TEST(LoaderVerifyTest, RemappedWritableAllowlistIsFlagged) {
 TEST(LoaderVerifyTest, RequiresALoadedProcess) {
   const asmtool::LinkImage image = MustAssemble(kKeyedGuest);
   core::System system({.variant = core::SystemVariant::kFullRoload});
-  const Report report = core::VerifyLoadedImage(system, image);
+  const Report report = core::VerifyLoadedImage(system.kernel(), image);
   EXPECT_FALSE(report.ok());
   EXPECT_EQ(SmallestRuleId(report), RuleId(Rule::kLoaderKeyMismatch));
 }

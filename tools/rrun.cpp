@@ -7,8 +7,8 @@
 //        [--stats-json FILE] [--profile FILE] [--trace-events FILE]
 //        [--audit FILE] [--jit-report FILE] [--list-counters]
 //
-// --harts         run on an N-hart SMP machine (default 1, the legacy
-//                 single-hart system — bit-identical cycles/counters).
+// --harts         run on an N-hart machine (default 1; N >= 2 adds a
+//                 shared L2 and the per-hart counter namespaces).
 //                 Every hart boots at _start with a0 = hartid, a1 = N;
 //                 the exit-code contract below is machine-level: a ROLoad
 //                 kill on ANY hart exits 99, whichever hart it was
@@ -70,7 +70,6 @@
 #include "core/system.h"
 #include "core/toolchain.h"
 #include "isa/disasm.h"
-#include "smp/machine.h"
 #include "support/strings.h"
 #include "trace/exporters.h"
 #include "trace/jitstats.h"
@@ -215,7 +214,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  smp::SmpConfig config;
+  core::SystemConfig config;
   config.variant = variant;
   config.harts = harts;
   if (!jit_report_path.empty()) {
@@ -235,9 +234,8 @@ int main(int argc, char** argv) {
   if (!trace_events_path.empty()) {
     config.trace.categories = trace::kAllCategories;
   }
-  // One hart is the legacy single-hart System, bit-for-bit; more harts
-  // share the address space behind a shared L2.
-  smp::Machine system(config);
+  // More than one hart shares the address space behind a shared L2.
+  core::System system(config);
   if (Status status = system.Load(image); !status.ok()) {
     std::fprintf(stderr, "rrun: %s\n", status.ToString().c_str());
     return 1;
