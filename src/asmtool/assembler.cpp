@@ -1,5 +1,6 @@
 #include "asmtool/assembler.h"
 
+#include <bit>
 #include <map>
 #include <string>
 #include <vector>
@@ -92,6 +93,9 @@ class Assembler {
     return Status::Ok();
   }
 
+  // Expands the `li rd, value` pseudo-op for any 64-bit constant.
+  Status EmitLoadImmediate(std::uint8_t rd, std::int64_t value, int line_no);
+
   // Operand helpers -------------------------------------------------------
   StatusOr<unsigned> ParseReg(std::string_view text, int line_no) const;
   StatusOr<std::int64_t> ParseImm(std::string_view text, int line_no) const;
@@ -134,6 +138,39 @@ StatusOr<unsigned> Assembler::ParseReg(std::string_view text,
                            static_cast<int>(text.size()), text.data()));
   }
   return *reg;
+}
+
+Status Assembler::EmitLoadImmediate(std::uint8_t rd, std::int64_t value,
+                                     int line_no) {
+  auto emit = [&](Opcode op, std::uint8_t rs1, std::int64_t imm) {
+    MachineInst mi;
+    mi.line = line_no;
+    mi.inst = Instruction{.op = op, .rd = rd, .rs1 = rs1, .imm = imm};
+    return EmitInst(mi);
+  };
+  if (FitsSigned(value, 12)) return emit(Opcode::kAddi, 0, value);
+  if (FitsSigned(value, 32)) {
+    // lui loads bits [31:12]; addiw adds the signed low 12, so round up
+    // the high part when the low part is negative.
+    const std::int64_t hi = (value + 0x800) >> 12;
+    const std::int64_t lo = value - (hi << 12);
+    ROLOAD_RETURN_IF_ERROR(emit(Opcode::kLui, 0, hi & 0xFFFFF));
+    return emit(Opcode::kAddiw, rd, lo);
+  }
+  // Wider constants, as the RISC-V pseudo-op expands them: materialize the
+  // high part with its trailing zero bits dropped, shift it into place,
+  // then add the sign-extended low 12 bits. The arithmetic is modulo 2^64,
+  // as in the registers.
+  const std::uint64_t bits = static_cast<std::uint64_t>(value);
+  const std::int64_t lo = SignExtend(bits, 12);
+  std::int64_t hi =
+      static_cast<std::int64_t>(bits - static_cast<std::uint64_t>(lo)) >> 12;
+  const int zeros = std::countr_zero(static_cast<std::uint64_t>(hi));
+  hi >>= zeros;
+  ROLOAD_RETURN_IF_ERROR(EmitLoadImmediate(rd, hi, line_no));
+  ROLOAD_RETURN_IF_ERROR(emit(Opcode::kSlli, rd, 12 + zeros));
+  if (lo == 0) return Status::Ok();
+  return emit(Opcode::kAddi, rd, lo);
 }
 
 StatusOr<std::int64_t> Assembler::ParseImm(std::string_view text,
@@ -351,31 +388,7 @@ Status Assembler::ParseInstruction(std::string_view head,
     if (!rd.ok()) return rd.status();
     auto value = imm(1);
     if (!value.ok()) return value.status();
-    const std::int64_t v = *value;
-    if (FitsSigned(v, 12)) {
-      mi.inst = Instruction{.op = Opcode::kAddi,
-                            .rd = static_cast<std::uint8_t>(*rd),
-                            .imm = v};
-      return EmitInst(mi);
-    }
-    if (!FitsSigned(v, 32)) {
-      return Error(line_no, "li immediate exceeds 32 bits");
-    }
-    // lui loads bits [31:12]; addi adds the signed low 12, so round up the
-    // high part when the low part is negative.
-    std::int64_t hi = (v + 0x800) >> 12;
-    std::int64_t lo = v - (hi << 12);
-    mi.inst = Instruction{.op = Opcode::kLui,
-                          .rd = static_cast<std::uint8_t>(*rd),
-                          .imm = hi & 0xFFFFF};
-    ROLOAD_RETURN_IF_ERROR(EmitInst(mi));
-    MachineInst add;
-    add.line = line_no;
-    add.inst = Instruction{.op = Opcode::kAddiw,
-                           .rd = static_cast<std::uint8_t>(*rd),
-                           .rs1 = static_cast<std::uint8_t>(*rd),
-                           .imm = lo};
-    return EmitInst(add);
+    return EmitLoadImmediate(static_cast<std::uint8_t>(*rd), *value, line_no);
   }
   if (mnemonic == "la") {
     ROLOAD_RETURN_IF_ERROR(need(2));

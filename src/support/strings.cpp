@@ -81,8 +81,8 @@ std::optional<std::int64_t> ParseInt(std::string_view text) {
     if (digit >= base) return std::nullopt;
     value = value * base + static_cast<std::uint64_t>(digit);
   }
-  const std::int64_t signed_value = static_cast<std::int64_t>(value);
-  return negative ? -signed_value : signed_value;
+  // Negate in unsigned arithmetic so "-9223372036854775808" is INT64_MIN.
+  return static_cast<std::int64_t>(negative ? 0 - value : value);
 }
 
 std::string StrFormat(const char* fmt, ...) {

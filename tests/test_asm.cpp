@@ -3,11 +3,16 @@
 // auto-defined __rodata bounds, and error reporting with line numbers.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 #include "asmtool/assembler.h"
 #include "isa/disasm.h"
 #include "isa/encoding.h"
 #include "isa/registers.h"
 #include "mem/phys_memory.h"
+#include "support/strings.h"
+#include "tests/guest_util.h"
 
 namespace roload::asmtool {
 namespace {
@@ -163,7 +168,35 @@ TEST(AssemblerTest, LiExpansions) {
       MustAssemble(".text\n_start:\n  li a0, 0x12345678\n");
   EXPECT_EQ(DecodeAt(large, 0).op, isa::Opcode::kLui);
   EXPECT_EQ(DecodeAt(large, 4).op, isa::Opcode::kAddiw);
-  EXPECT_FALSE(Assemble(".text\n_start:\n  li a0, 0x123456789\n").ok());
+  // Wider constants: lui+addiw builds the high part, slli shifts it into
+  // place and addi adds the low 12 bits.
+  const LinkImage wide =
+      MustAssemble(".text\n_start:\n  li a0, 0x123456789\n");
+  EXPECT_EQ(DecodeAt(wide, 0).op, isa::Opcode::kLui);
+  EXPECT_EQ(DecodeAt(wide, 4).op, isa::Opcode::kAddiw);
+  EXPECT_EQ(DecodeAt(wide, 8).op, isa::Opcode::kSlli);
+  EXPECT_EQ(DecodeAt(wide, 12).op, isa::Opcode::kAddi);
+}
+
+// li materializes any 64-bit constant: each one is loaded into a0 and read
+// back through the simulator as the guest's full 64-bit exit code.
+TEST(AssemblerTest, LiRoundTripsEdgeConstants) {
+  for (const std::int64_t value :
+       {std::numeric_limits<std::int64_t>::min(),
+        std::numeric_limits<std::int64_t>::max(), std::int64_t{0x80000000},
+        std::int64_t{-0x80000001}, std::int64_t{0xFFFFFFFF},
+        std::int64_t{-0x80000000}, std::int64_t{0x7FFFF800},
+        std::int64_t{0x123456789}, std::int64_t{0x0000123400000000},
+        std::int64_t{-0x7FFFFFFFFFFFF001}}) {
+    SCOPED_TRACE(value);
+    testing::ExpectExit(
+        StrFormat(".text\n_start:\n  li a0, %lld\n  li a7, 93\n  ecall\n",
+                  static_cast<long long>(value)),
+        value);
+  }
+  testing::ExpectExit(
+      ".text\n_start:\n  li a0, 0xFFFFFFFFFFFFFFFF\n  li a7, 93\n  ecall\n",
+      -1);
 }
 
 TEST(AssemblerTest, PseudoInstructions) {
