@@ -178,7 +178,8 @@ Status System::Load(const asmtool::LinkImage& image) {
 }
 
 kernel::RunResult System::Run(std::uint64_t max_instructions) {
-  results_ = kernel_->Run(max_instructions, config_.quantum);
+  const std::vector<kernel::RunResult> results =
+      kernel_->Run(max_instructions, config_.quantum);
 
   // Merge to one machine-level result: a kill wins (it halted the process
   // and carries the faulting hart), then an instruction limit, then a
@@ -186,13 +187,13 @@ kernel::RunResult System::Run(std::uint64_t max_instructions) {
   const kernel::RunResult* pick = nullptr;
   for (const kernel::ExitKind kind :
        {kernel::ExitKind::kKilled, kernel::ExitKind::kInstructionLimit}) {
-    for (const kernel::RunResult& r : results_) {
+    for (const kernel::RunResult& r : results) {
       if (pick == nullptr && r.kind == kind) pick = &r;
     }
   }
-  kernel::RunResult merged = pick != nullptr ? *pick : results_[0];
+  kernel::RunResult merged = pick != nullptr ? *pick : results[0];
   if (pick == nullptr) {
-    for (const kernel::RunResult& r : results_) {
+    for (const kernel::RunResult& r : results) {
       if (r.exit_code != 0) {
         merged.exit_code = r.exit_code;
         merged.hart = r.hart;
@@ -202,12 +203,12 @@ kernel::RunResult System::Run(std::uint64_t max_instructions) {
   }
   merged.instructions = 0;
   merged.cycles = 0;
-  for (const kernel::RunResult& r : results_) {
+  for (const kernel::RunResult& r : results) {
     merged.instructions += r.instructions;
     merged.cycles = std::max(merged.cycles, r.cycles);
   }
-  merged.stdout_text = results_[0].stdout_text;
-  merged.peak_mem_kib = results_[0].peak_mem_kib;
+  merged.stdout_text = results[0].stdout_text;
+  merged.peak_mem_kib = results[0].peak_mem_kib;
   return merged;
 }
 

@@ -93,15 +93,9 @@ class System {
   // the parallel wall-clock.
   kernel::RunResult Run(std::uint64_t max_instructions = 1ull << 34);
 
-  // Per-context results of the last Run (one per hart after Load).
-  const std::vector<kernel::RunResult>& results() const { return results_; }
-
-  unsigned harts() const { return config_.harts; }
   cpu::Cpu& cpu(unsigned hart = 0) { return *cpus_[hart]; }
-  const cpu::Cpu& cpu(unsigned hart = 0) const { return *cpus_[hart]; }
   kernel::Kernel& kernel() { return *kernel_; }
   mem::PhysMemory& memory() { return *memory_; }
-  cache::Cache* l2() { return l2_.get(); }
   SystemVariant variant() const { return config_.variant; }
 
   // The machine's telemetry hub: every module's counters live in
@@ -125,7 +119,6 @@ class System {
   std::vector<trace::CounterRegistry> hart_counters_;
   std::unique_ptr<kernel::Kernel> kernel_;
   std::unique_ptr<audit::Auditor> auditor_;
-  std::vector<kernel::RunResult> results_;
 };
 
 }  // namespace roload::core

@@ -1,5 +1,6 @@
 // Former names of the one machine type, core::System. This header exists
-// only because the frozen cell benchmark (cellbench/) still spells them;
+// only for the cell benchmark (cellbench/), whose sources stay fixed so
+// its results compare across commits and which still spells these names;
 // everything else uses the core names.
 #pragma once
 
