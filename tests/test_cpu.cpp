@@ -27,6 +27,12 @@ struct AluCase {
   std::int64_t (*golden)(std::int64_t, std::int64_t);
 };
 
+// Without this gtest prints the raw struct bytes, pointers included, into
+// the listed test name, so the name would change with every build.
+void PrintTo(const AluCase& test_case, std::ostream* os) {
+  *os << test_case.mnemonic;
+}
+
 const AluCase kAluCases[] = {
     {"add", [](std::int64_t a, std::int64_t b) { return a + b; }},
     {"sub", [](std::int64_t a, std::int64_t b) { return a - b; }},

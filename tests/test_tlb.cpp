@@ -64,6 +64,12 @@ struct PermCase {
   isa::TrapCause cause;
 };
 
+// Without this gtest prints the raw struct bytes, pointers included, into
+// the listed test name, so the name would change with every build.
+void PrintTo(const PermCase& test_case, std::ostream* os) {
+  *os << test_case.name;
+}
+
 class PermissionMatrixTest : public ::testing::TestWithParam<PermCase> {};
 
 TEST_P(PermissionMatrixTest, Enforced) {
