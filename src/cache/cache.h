@@ -120,7 +120,7 @@ class Cache {
 
   // Per-site inline-cache support for the translated tier's memory
   // micro-ops. Once the caller has re-proven that the memoized line still
-  // holds `line_addr` (valid + tag), ReplayDataHit applies exactly what
+  // holds `line_addr` (valid + tag), ReplayDataHitAt applies exactly what
   // the reference access performs for that hit — hit count, LRU tick,
   // dirty bit, and the same-line hint, which every reference hit path
   // leaves equal to the accessed line. site_hint() re-arms a memo after a
@@ -131,19 +131,12 @@ class Cache {
   std::uint64_t LineAddrOf(std::uint64_t phys_addr) const {
     return phys_addr >> line_shift_;
   }
-  unsigned ReplayDataHit(Line* line, std::uint64_t line_addr, bool write) {
-    ++stats_.hits;
-    line->lru_tick = ++tick_;
-    line->dirty = line->dirty || write;
-    last_line_ = line;
-    last_line_addr_ = line_addr;
-    return config_.hit_cycles;
-  }
-  // Batched form of ReplayDataHit: the caller stamps each proven hit with
+  // Hits are batched per block run: the caller stamps each proven hit with
   // `tick = replay_base() + k` (k = 1-based hit index since the last
   // commit) and commits the hit count and tick advance in one
-  // CommitReplayBatch call. Identical to the per-hit form as long as the
-  // pending batch is flushed before any generic Access interleaves.
+  // CommitReplayBatch call. Identical to per-hit ++tick_/++stats_.hits as
+  // long as the pending batch is flushed before any generic Access
+  // interleaves.
   unsigned ReplayDataHitAt(Line* line, std::uint64_t line_addr, bool write,
                            std::uint64_t tick) {
     line->lru_tick = tick;
@@ -168,7 +161,6 @@ class Cache {
 
   const CacheConfig& config() const { return config_; }
   const CacheStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = CacheStats{}; }
 
   // Telemetry attachment (null disables); `unit` distinguishes I$ and D$
   // in the event stream.

@@ -41,11 +41,6 @@ struct CpuConfig {
   // computation is reused). FlushTlbs() invalidates it alongside the TLBs;
   // self-modified code is additionally caught by the raw-bit check.
   bool host_decode_cache = true;
-  // Host-only: fetch/load/store guest bytes through PhysMemory's inline
-  // unchecked accessors instead of the checked out-of-line ones. Every such
-  // access sits behind the Contains() test that the checked accessor would
-  // merely repeat, so the values (and everything downstream) are identical.
-  bool host_unchecked_mem = true;
   // Host-only translation tier (src/cpu/translate.h): pre-decode hot
   // superblocks into replayable micro-op form and execute them under
   // TLB/I-cache/code-version guards, deopting to the interpreter on any
@@ -75,10 +70,12 @@ struct CpuConfig {
 };
 
 // The three execute tiers, in increasing host speed: the reference
-// interpreter (every host fast path off), the PR 2 fast paths (decode
-// cache, indexed TLB, inline memory — the default), and the translation
-// tier on top of the fast paths. All three are bit-identical in cycles
-// and every architectural counter; only host speed differs.
+// interpreter (every host fast path off), the host fast paths (decode
+// cache, indexed TLB, cache shift math — the default), and the
+// translation tier on top of the fast paths. All three share one
+// definition of each instruction (ALU, branch conditions, guest memory
+// access) and are bit-identical in cycles and every architectural
+// counter; only host speed differs.
 enum class ExecTier : std::uint8_t {
   kInterp,
   kFast,
@@ -96,7 +93,9 @@ std::optional<ExecTier> ParseExecTier(std::string_view name);
 // Toggles every host-only fast path in one call: the decode cache, the
 // indexed TLB lookup (both TLBs) and the cache index math (both caches).
 // Disabled reproduces the reference implementations that the differential
-// tests and bench/host_throughput compare against.
+// tests and bench/host_throughput compare against. Guest bytes move
+// through PhysMemory's unchecked accessors on every tier: each access
+// already sits behind a Contains() test.
 void SetHostFastPaths(CpuConfig* config, bool enabled);
 
 // What happened during one Step().
@@ -158,7 +157,6 @@ class Cpu {
   const isa::Trap& pending_trap() const { return pending_trap_; }
 
   const CpuStats& stats() const { return stats_; }
-  void ResetStats();
   const tlb::TlbStats& itlb_stats() const { return itlb_.stats(); }
   const tlb::TlbStats& dtlb_stats() const { return dtlb_.stats(); }
   const cache::CacheStats& icache_stats() const { return icache_.stats(); }
@@ -249,9 +247,10 @@ class Cpu {
   bool MemAccess(const isa::Instruction& inst, std::uint64_t virt_addr,
                  bool write, std::uint64_t* value, unsigned* cycles);
   // The execute half of Step(): everything after fetch+decode, starting
-  // from `cycles` already charged by the fetch. Shared verbatim between
-  // Step() and the block executor, which is what makes the translated
-  // tier's semantics the interpreter's semantics by construction.
+  // from `cycles` already charged by the fetch. The block executor runs it
+  // for the ops it does not replay inline (ecall/ebreak, ld.ro with the
+  // roload_check event stream live), and shares its ALU and branch
+  // definitions (ExecAlu/BranchTaken in cpu.cpp) for the rest.
   //
   // kLean compiles out the profiler charges and the per-retire event
   // emission. It is only ever instantiated by the block executor, which

@@ -18,10 +18,14 @@
 // interpreter's all-hit fetch path performs (one I-TLB hit + one I-cache
 // hit per instruction, batched per block run — see Tlb::ReplayFetchHits
 // and the Cache replay-batch API) and then executes the pre-decoded
-// instruction through the same ExecuteDecoded body Step() uses. Data-side accesses, traps, the ld.ro
-// key check and the roload_check event stream all go through the
-// unmodified MemAccess path, so cycles and every counter are bit-identical
-// to the reference interpreter by construction. Any guard miss deopts to
+// instruction with the interpreter's own semantics: the same ExecAlu and
+// BranchTaken definitions Step() uses, one memory micro-op path that
+// replays the reference D-TLB/D-cache hit mutations (running the real
+// lookups, the ld.ro key check included, on any memo miss), and
+// Step()'s own execute body for everything else (ecall/ebreak, ld.ro
+// while the roload_check event stream is live). Cycles and every counter
+// must match the reference interpreter bit for bit (the differential
+// suite in tests/test_translate.cpp checks it). Any guard miss deopts to
 // Step() for at least one instruction (performing the *real* miss with its
 // real cost) and retries, so misses are never approximated.
 #pragma once
@@ -100,14 +104,11 @@ struct TranslatedOp {
   std::uint64_t pc = 0;          // virtual pc of this op
   std::uint64_t fetch_phys = 0;  // physical address of the first parcel
   std::uint32_t line_index = 0;  // index into TranslatedBlock::lines
-  bool is_store = false;         // run the mid-block SMC version check after
-  // Pre-resolved micro-op facts for the block executor's inline memory
-  // path (isa::MemAccessBytes / isa::LoadIsUnsigned / isa::IsRoLoad
-  // evaluated once at build time instead of per execution). Zero for
-  // non-memory ops.
+  // Pre-resolved micro-op facts for the block executor's memory path
+  // (isa::MemAccessBytes / isa::LoadIsUnsigned evaluated once at build
+  // time instead of per execution). Zero for non-memory ops.
   std::uint8_t mem_bytes = 0;
   bool load_unsigned = false;
-  bool is_roload = false;  // ld.ro family: key-checked load datapath
   // Per-site inline caches: the D-TLB entry and D-cache line this op hit
   // last time. Self-validating — the executor re-proves them against the
   // current access before replaying the hit and falls back to the generic

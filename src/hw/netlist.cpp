@@ -25,11 +25,6 @@ Signal Netlist::Const0() {
   return const0_;
 }
 
-Signal Netlist::Const1() {
-  if (const1_ < 0) const1_ = AddGate(GateKind::kConst1, {});
-  return const1_;
-}
-
 Signal Netlist::Not(Signal a) { return AddGate(GateKind::kNot, {a}); }
 Signal Netlist::And(Signal a, Signal b) {
   return AddGate(GateKind::kAnd, {a, b});

@@ -41,7 +41,6 @@ class Netlist {
   // Primary input with a name (evaluation binds by index).
   Signal AddInput(const std::string& name);
   Signal Const0();
-  Signal Const1();
 
   Signal Not(Signal a);
   Signal And(Signal a, Signal b);
@@ -106,7 +105,6 @@ class Netlist {
   std::vector<std::pair<std::string, Signal>> outputs_;
   std::vector<FlipFlop> flip_flops_;
   Signal const0_ = -1;
-  Signal const1_ = -1;
 };
 
 // Convenience: an n-bit bus of inputs named "<name>[i]".

@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "support/bits.h"
-#include "support/logging.h"
 
 namespace roload::kernel {
 
@@ -286,8 +285,7 @@ bool Kernel::HandleSyscall(RunResult* result) {
       cpu_->set_reg(isa::kA0, 0);
       return true;
     }
-    default:
-      ROLOAD_LOG(kWarning) << "unknown syscall " << number;
+    default:  // unknown syscall
       cpu_->set_reg(isa::kA0, static_cast<std::uint64_t>(-38));  // ENOSYS
       return true;
   }

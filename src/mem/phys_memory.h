@@ -26,27 +26,12 @@ class PhysMemory {
   std::uint64_t Read(std::uint64_t addr, unsigned bytes) const;
   void Write(std::uint64_t addr, unsigned bytes, std::uint64_t value);
 
-  // Inline unchecked variants for the CPU's host fast paths: identical to
-  // Read/Write minus the bounds CHECK — every caller sits behind a
-  // Contains() test that already proved the range. Gated in the CPU by
-  // CpuConfig::host_unchecked_mem so the reference mode keeps the checked
-  // out-of-line calls the seed simulator made.
+  // Inline unchecked variants for the CPU's fetches, loads and stores on
+  // every execute tier: identical to Read/Write minus the bounds CHECK —
+  // every caller sits behind a Contains() test that already proved the
+  // range. Each memcpy length is a compile-time constant, so an access
+  // lowers to one host load/store. `bytes` is in {1, 2, 4, 8}.
   std::uint64_t ReadUnchecked(std::uint64_t addr, unsigned bytes) const {
-    std::uint64_t value = 0;
-    std::memcpy(&value, bytes_.data() + addr, bytes);
-    return value;
-  }
-  void WriteUnchecked(std::uint64_t addr, unsigned bytes,
-                      std::uint64_t value) {
-    std::memcpy(bytes_.data() + addr, &value, bytes);
-  }
-
-  // Width-dispatched unchecked accessors for the translated tier's inline
-  // memory micro-ops: same values and semantics as ReadUnchecked /
-  // WriteUnchecked, but each memcpy length is a compile-time constant so
-  // the access lowers to one host load/store instead of a variable-length
-  // copy. `bytes` is a decoded access width, always in {1, 2, 4, 8}.
-  std::uint64_t ReadUncheckedWidth(std::uint64_t addr, unsigned bytes) const {
     const std::uint8_t* src = bytes_.data() + addr;
     switch (bytes) {
       case 1: {
@@ -71,8 +56,8 @@ class PhysMemory {
       }
     }
   }
-  void WriteUncheckedWidth(std::uint64_t addr, unsigned bytes,
-                           std::uint64_t value) {
+  void WriteUnchecked(std::uint64_t addr, unsigned bytes,
+                      std::uint64_t value) {
     std::uint8_t* dst = bytes_.data() + addr;
     switch (bytes) {
       case 1: {

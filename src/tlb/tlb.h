@@ -241,36 +241,26 @@ class Tlb {
   // Per-site inline-cache support for the translated tier's memory
   // micro-ops. A block op that repeatedly touches the same page memoizes
   // the entry it hit; once the caller has re-proven the entry (valid, vpn,
-  // asid_root) and its permission bits for access A, ReplaySiteHit applies
-  // exactly the mutations the reference lookup performs for that hit — one
-  // hit count, the LRU tick, and the lookup hint, which every reference
-  // hit path leaves pointing at the matched entry. site_hint() is what a
-  // memo re-arms from after a generic Translate: it holds the matched
-  // entry after any hit (after a refill it may lag one access, which only
-  // costs one more generic lookup).
-  template <AccessType A>
-  void ReplaySiteHit(Entry* entry) {
-    ++stats_.hits;
-    entry->lru_tick = ++tick_;
-    if (config_.host_indexed_lookup) {
-      last_translation_[static_cast<std::size_t>(A)] = entry;
-    } else {
-      last_entry_ = entry;
-    }
-  }
+  // asid_root) and its permission bits for access A, ReplaySiteHitAt
+  // (below) applies exactly the mutations the reference lookup performs
+  // for that hit — one hit count, the LRU tick, and the lookup hint, which
+  // every reference hit path leaves pointing at the matched entry.
+  // site_hint() is what a memo re-arms from after a generic Translate: it
+  // holds the matched entry after any hit (after a refill it may lag one
+  // access, which only costs one more generic lookup).
   Entry* site_hint(AccessType access) {
     return config_.host_indexed_lookup
                ? last_translation_[static_cast<std::size_t>(access)]
                : last_entry_;
   }
 
-  // Batched form of ReplaySiteHit for a block run: the caller stamps each
-  // proven hit with `tick = replay_base() + k` (k = 1-based hit index
-  // since the last commit) and commits the hit count and tick advance in
-  // one CommitReplayBatch call, exactly as the fetch replay does. The
-  // split is observationally identical to per-hit ++tick_/++stats_.hits
-  // because nothing reads this TLB between the stamps and the commit —
-  // the executor flushes the pending batch before any generic lookup.
+  // Site hits are batched per block run: the caller stamps each proven
+  // hit with `tick = replay_base() + k` (k = 1-based hit index since the
+  // last commit) and commits the hit count and tick advance in one
+  // CommitReplayBatch call, exactly as the fetch replay does. The split is
+  // observationally identical to per-hit ++tick_/++stats_.hits because
+  // nothing reads this TLB between the stamps and the commit — the
+  // executor flushes the pending batch before any generic lookup.
   std::uint64_t replay_base() const { return tick_; }
   void CommitReplayBatch(std::uint64_t hits) {
     stats_.hits += hits;
@@ -302,7 +292,6 @@ class Tlb {
   void Flush();
 
   const TlbStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = TlbStats{}; }
 
   // Telemetry attachment (null disables). `unit` tells the event stream
   // whether this is the I-side or D-side TLB.

@@ -67,11 +67,4 @@ std::vector<std::pair<std::uint64_t, std::uint64_t>> CycleProfiler::PcRanges()
   return ranges;
 }
 
-void CycleProfiler::Reset() {
-  std::fill(std::begin(buckets_), std::end(buckets_), 0);
-  total_cycles_ = 0;
-  step_attributed_ = 0;
-  pc_cycles_.clear();
-}
-
 }  // namespace roload::trace

@@ -52,8 +52,6 @@ class CycleProfiler {
   std::vector<std::pair<std::uint64_t, std::uint64_t>> PcRanges() const;
   std::uint64_t pc_range_bytes() const { return 1ull << pc_bucket_bits_; }
 
-  void Reset();
-
  private:
   unsigned pc_bucket_bits_;
   std::uint64_t buckets_[static_cast<std::size_t>(CycleBucket::kNumBuckets)] =

@@ -1,8 +1,13 @@
-// CPU execution tests: ALU semantics validated against host-computed
-// golden values (parameterized property sweeps), load/store widths and
+// CPU execution tests: ALU and division semantics validated against
+// host-computed golden values on all three execute tiers (parameterized
+// property sweeps), load/store widths and
 // sign extension, control flow, M-extension edge cases, trap behaviour,
 // and the ld.ro execution paths on all system variants.
 #include <gtest/gtest.h>
+
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "support/rng.h"
 #include "support/strings.h"
@@ -19,19 +24,41 @@ std::string ExitWith(const std::string& body) {
 }
 
 // ---------------------------------------------------------------------------
-// ALU property sweep: each op computed by the guest and compared against a
-// host-side golden model. Result is reduced mod 64 via two probes (low and
-// high bits) so full-width values are checked.
+// Every test in this section runs on all three execute tiers.
+constexpr cpu::ExecTier kAllTiers[] = {cpu::ExecTier::kInterp,
+                                       cpu::ExecTier::kFast,
+                                       cpu::ExecTier::kTranslated};
+
+// Runs `body` (which leaves its result in a0) three times in a loop on
+// `tier` and returns the guest's exit code, or -1 when it did not exit
+// cleanly. The translated tier builds a block on a pc's first visit, so
+// the later passes run the body inside blocks; the check on ops_replayed
+// proves that they did.
+std::int64_t ExitCodeOnTier(const std::string& body, cpu::ExecTier tier) {
+  core::SystemConfig config;
+  cpu::SetExecTier(&config.cpu, tier);
+  config.cpu.translate_threshold = 1;
+  const auto run = RunGuest(
+      ExitWith("  li s0, 3\npass:\n" + body +
+               "  addi s0, s0, -1\n  bnez s0, pass\n"),
+      config);
+  if (tier == cpu::ExecTier::kTranslated) {
+    EXPECT_GT(run.system->cpu().translator_stats().ops_replayed, 0u);
+  }
+  EXPECT_EQ(run.result.kind, kernel::ExitKind::kExited)
+      << "killed by signal " << run.result.signal << " ("
+      << isa::TrapCauseName(run.result.trap_cause) << ") at pc 0x"
+      << std::hex << run.result.fault_pc;
+  return run.result.kind == kernel::ExitKind::kExited ? run.result.exit_code
+                                                      : -1;
+}
+
+// ALU property sweep: each op computed by the guest and compared, at full
+// width, against a host-side golden model.
 struct AluCase {
   const char* mnemonic;
   std::int64_t (*golden)(std::int64_t, std::int64_t);
 };
-
-// Without this gtest prints the raw struct bytes, pointers included, into
-// the listed test name, so the name would change with every build.
-void PrintTo(const AluCase& test_case, std::ostream* os) {
-  *os << test_case.mnemonic;
-}
 
 const AluCase kAluCases[] = {
     {"add", [](std::int64_t a, std::int64_t b) { return a + b; }},
@@ -67,66 +94,183 @@ const AluCase kAluCases[] = {
      [](std::int64_t a, std::int64_t b) {
        return static_cast<std::int64_t>(static_cast<std::int32_t>(a * b));
      }},
+    {"sllw",
+     [](std::int64_t a, std::int64_t b) {
+       return static_cast<std::int64_t>(static_cast<std::int32_t>(
+           static_cast<std::uint32_t>(a) << (b & 31)));
+     }},
+    {"srlw",
+     [](std::int64_t a, std::int64_t b) {
+       return static_cast<std::int64_t>(static_cast<std::int32_t>(
+           static_cast<std::uint32_t>(a) >> (b & 31)));
+     }},
+    {"sraw",
+     [](std::int64_t a, std::int64_t b) {
+       return static_cast<std::int64_t>(static_cast<std::int32_t>(a) >>
+                                        (b & 31));
+     }},
+    // RISC-V division never traps: x/0 is all ones and x%0 is x; the
+    // signed overflow MIN/-1 is MIN and MIN%-1 is 0.
+    {"div",
+     [](std::int64_t a, std::int64_t b) {
+       if (b == 0) return std::int64_t{-1};
+       if (a == INT64_MIN && b == -1) return a;
+       return a / b;
+     }},
+    {"divu",
+     [](std::int64_t a, std::int64_t b) {
+       if (b == 0) return std::int64_t{-1};
+       return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) /
+                                        static_cast<std::uint64_t>(b));
+     }},
+    {"rem",
+     [](std::int64_t a, std::int64_t b) {
+       if (b == 0) return a;
+       if (a == INT64_MIN && b == -1) return std::int64_t{0};
+       return a % b;
+     }},
+    {"remu",
+     [](std::int64_t a, std::int64_t b) {
+       if (b == 0) return a;
+       return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) %
+                                        static_cast<std::uint64_t>(b));
+     }},
+    {"divw",
+     [](std::int64_t a, std::int64_t b) {
+       const auto a32 = static_cast<std::int32_t>(a);
+       const auto b32 = static_cast<std::int32_t>(b);
+       if (b32 == 0) return std::int64_t{-1};
+       if (a32 == INT32_MIN && b32 == -1) return std::int64_t{a32};
+       return std::int64_t{a32 / b32};
+     }},
+    {"remw",
+     [](std::int64_t a, std::int64_t b) {
+       const auto a32 = static_cast<std::int32_t>(a);
+       const auto b32 = static_cast<std::int32_t>(b);
+       if (b32 == 0) return std::int64_t{a32};
+       if (a32 == INT32_MIN && b32 == -1) return std::int64_t{0};
+       return std::int64_t{a32 % b32};
+     }},
 };
 
-class AluGoldenTest : public ::testing::TestWithParam<AluCase> {};
+// One ALU case on one execute tier. The default (fast) tier keeps the
+// bare op name; the other tiers append theirs.
+struct AluTierCase {
+  AluCase alu;
+  cpu::ExecTier tier;
+};
+
+std::string AluTierName(const AluTierCase& test_case) {
+  std::string name = test_case.alu.mnemonic;
+  if (test_case.tier != cpu::ExecTier::kFast) {
+    name += "_" + std::string(cpu::ExecTierName(test_case.tier));
+  }
+  return name;
+}
+
+// Without this gtest prints the raw struct bytes, pointers included, into
+// the listed test name, so the name would change with every build.
+void PrintTo(const AluTierCase& test_case, std::ostream* os) {
+  *os << AluTierName(test_case);
+}
+
+std::vector<AluTierCase> AluTierCases() {
+  std::vector<AluTierCase> cases;
+  for (const cpu::ExecTier tier : kAllTiers) {
+    for (const AluCase& alu : kAluCases) cases.push_back({alu, tier});
+  }
+  return cases;
+}
+
+class AluGoldenTest : public ::testing::TestWithParam<AluTierCase> {};
 
 TEST_P(AluGoldenTest, MatchesHostSemantics) {
-  const AluCase& test_case = GetParam();
+  const AluCase& test_case = GetParam().alu;
   Rng rng(std::string_view(test_case.mnemonic).size() * 977 + 5);
+  // Random operands that fit the li pseudo-expansion (32-bit signed),
+  // then the divide edge cases: a zero divisor and INT32_MIN / -1.
+  std::vector<std::pair<std::int64_t, std::int64_t>> operands;
   for (int trial = 0; trial < 8; ++trial) {
-    // Operands that fit the li pseudo-expansion (32-bit signed).
     const auto a = static_cast<std::int64_t>(
         static_cast<std::int32_t>(rng.NextU64()));
     const auto b = static_cast<std::int64_t>(
         static_cast<std::int32_t>(rng.NextU64()));
-    const std::int64_t golden = test_case.golden(a, b);
-    // probe = (golden ^ (golden >> 32)) & 63 exercises both halves.
-    const std::int64_t probe = (golden ^ (golden >> 32)) & 63;
-    const std::string body = StrFormat(
+    operands.emplace_back(a, b);
+  }
+  operands.emplace_back(12345, 0);
+  operands.emplace_back(INT32_MIN, -1);
+  // One guest checks every pair against its golden result and exits with
+  // a bitmask of the pairs that differ (one machine per case keeps the
+  // three-tier sweep cheap).
+  std::string body = "  li a0, 0\n";
+  for (std::size_t k = 0; k < operands.size(); ++k) {
+    const auto [a, b] = operands[k];
+    body += StrFormat(
         "  li t0, %lld\n"
         "  li t1, %lld\n"
         "  %s t2, t0, t1\n"
-        "  srai t3, t2, 32\n"
-        "  xor a0, t2, t3\n"
-        "  andi a0, a0, 63\n",
+        "  li t3, %lld\n"
+        "  xor t3, t3, t2\n"
+        "  sltu t3, zero, t3\n"
+        "  slli t3, t3, %zu\n"
+        "  or a0, a0, t3\n",
         static_cast<long long>(a), static_cast<long long>(b),
-        test_case.mnemonic);
-    ExpectExit(ExitWith(body), probe);
+        test_case.mnemonic,
+        static_cast<long long>(test_case.golden(a, b)), k);
+  }
+  const std::int64_t mismatches = ExitCodeOnTier(body, GetParam().tier);
+  for (std::size_t k = 0; k < operands.size(); ++k) {
+    const auto [a, b] = operands[k];
+    EXPECT_EQ((mismatches >> k) & 1, 0)
+        << test_case.mnemonic << " " << a << ", " << b
+        << " differs from golden " << test_case.golden(a, b);
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllOps, AluGoldenTest, ::testing::ValuesIn(kAluCases),
+INSTANTIATE_TEST_SUITE_P(AllOps, AluGoldenTest,
+                         ::testing::ValuesIn(AluTierCases()),
                          [](const auto& info) {
-                           return std::string(info.param.mnemonic);
+                           return AluTierName(info.param);
                          });
 
 // ---------------------------------------------------------------------------
 // Division edge cases (RISC-V defines them, no traps).
 TEST(CpuDivTest, DivideByZero) {
-  ExpectExit(ExitWith("  li t0, 42\n  li t1, 0\n  div t2, t0, t1\n"
-                      "  andi a0, t2, 63\n"),
-             63);  // -1 & 63
-  ExpectExit(ExitWith("  li t0, 42\n  li t1, 0\n  rem t2, t0, t1\n"
-                      "  andi a0, t2, 63\n"),
-             42);
-  ExpectExit(ExitWith("  li t0, 42\n  li t1, 0\n  divu t2, t0, t1\n"
-                      "  andi a0, t2, 63\n"),
-             63);
-  ExpectExit(ExitWith("  li t0, 42\n  li t1, 0\n  remu t2, t0, t1\n"
-                      "  andi a0, t2, 63\n"),
-             42);
+  for (const cpu::ExecTier tier : kAllTiers) {
+    SCOPED_TRACE("tier " + std::string(cpu::ExecTierName(tier)));
+    EXPECT_EQ(ExitCodeOnTier("  li t0, 42\n  li t1, 0\n  div t2, t0, t1\n"
+                             "  andi a0, t2, 63\n",
+                             tier),
+              63);  // -1 & 63
+    EXPECT_EQ(ExitCodeOnTier("  li t0, 42\n  li t1, 0\n  rem t2, t0, t1\n"
+                             "  andi a0, t2, 63\n",
+                             tier),
+              42);
+    EXPECT_EQ(ExitCodeOnTier("  li t0, 42\n  li t1, 0\n  divu t2, t0, t1\n"
+                             "  andi a0, t2, 63\n",
+                             tier),
+              63);
+    EXPECT_EQ(ExitCodeOnTier("  li t0, 42\n  li t1, 0\n  remu t2, t0, t1\n"
+                             "  andi a0, t2, 63\n",
+                             tier),
+              42);
+  }
 }
 
 TEST(CpuDivTest, SignedOverflow) {
   // INT64_MIN / -1 = INT64_MIN; INT64_MIN % -1 = 0. Build INT64_MIN as
   // 1 << 63.
-  ExpectExit(ExitWith("  li t0, 1\n  slli t0, t0, 63\n  li t1, -1\n"
-                      "  div t2, t0, t1\n  srli a0, t2, 58\n"),
-             32);  // top bits of INT64_MIN
-  ExpectExit(ExitWith("  li t0, 1\n  slli t0, t0, 63\n  li t1, -1\n"
-                      "  rem t2, t0, t1\n  andi a0, t2, 63\n"),
-             0);
+  for (const cpu::ExecTier tier : kAllTiers) {
+    SCOPED_TRACE("tier " + std::string(cpu::ExecTierName(tier)));
+    EXPECT_EQ(ExitCodeOnTier("  li t0, 1\n  slli t0, t0, 63\n  li t1, -1\n"
+                             "  div t2, t0, t1\n  srli a0, t2, 58\n",
+                             tier),
+              32);  // top bits of INT64_MIN
+    EXPECT_EQ(ExitCodeOnTier("  li t0, 1\n  slli t0, t0, 63\n  li t1, -1\n"
+                             "  rem t2, t0, t1\n  andi a0, t2, 63\n",
+                             tier),
+              0);
+  }
 }
 
 // ---------------------------------------------------------------------------
