@@ -23,10 +23,7 @@ unsigned Cache::AccessSlow(std::uint64_t phys_addr, bool write) {
                                       : phys_addr / config_.line_bytes;
   if (last_line_ != nullptr && line_addr == last_line_addr_ &&
       last_line_->valid) {
-    ++stats_.hits;
-    last_line_->lru_tick = ++tick_;
-    last_line_->dirty = last_line_->dirty || write;
-    return config_.hit_cycles;
+    return Hit(last_line_, line_addr, write);
   }
   const unsigned set = static_cast<unsigned>(line_addr & (num_sets_ - 1));
   const std::uint64_t tag = config_.host_fast_path ? line_addr >> set_shift_
@@ -35,14 +32,7 @@ unsigned Cache::AccessSlow(std::uint64_t phys_addr, bool write) {
 
   for (unsigned way = 0; way < config_.ways; ++way) {
     Line& line = base[way];
-    if (line.valid && line.tag == tag) {
-      ++stats_.hits;
-      line.lru_tick = ++tick_;
-      line.dirty = line.dirty || write;
-      last_line_ = &line;
-      last_line_addr_ = line_addr;
-      return config_.hit_cycles;
-    }
+    if (line.valid && line.tag == tag) return Hit(&line, line_addr, write);
   }
 
   ++stats_.misses;

@@ -58,19 +58,28 @@ class Cache {
   // cost. `write` marks the line dirty (write-allocate policy).
   //
   // The inline body is the host fast path: a same-line hit (the common
-  // case — stack slots, straight-line code) completes without an
-  // out-of-line call. It performs exactly the steps AccessSlow performs
-  // for the same hit, so stats and cycle costs are bit-identical
-  // whichever path serves the access.
+  // case — stack slots, straight-line code) runs Hit() without an
+  // out-of-line call. Every hit, whichever path found the line, runs that
+  // one body, so stats and cycle costs do not depend on the path.
   unsigned Access(std::uint64_t phys_addr, bool write) {
     if (config_.host_fast_path && last_line_ != nullptr &&
         (phys_addr >> line_shift_) == last_line_addr_ && last_line_->valid) {
-      ++stats_.hits;
-      last_line_->lru_tick = ++tick_;
-      last_line_->dirty = last_line_->dirty || write;
-      return config_.hit_cycles;
+      return Hit(last_line_, last_line_addr_, write);
     }
     return AccessSlow(phys_addr, write);
+  }
+
+  // The one hit body: hit count, LRU tick, dirty bit, and the same-line
+  // hint left on the accessed line. Access's shortcut, AccessSlow's set
+  // scan and the translated tier's per-site memo (after Holds) all call
+  // it.
+  unsigned Hit(Line* line, std::uint64_t line_addr, bool write) {
+    ++stats_.hits;
+    line->lru_tick = ++tick_;
+    line->dirty = line->dirty || write;
+    last_line_ = line;
+    last_line_addr_ = line_addr;
+    return config_.hit_cycles;
   }
 
   // Guard-probe for the translation tier: returns the resident line for
@@ -119,31 +128,19 @@ class Cache {
   }
 
   // Per-site inline-cache support for the translated tier's memory
-  // micro-ops. Once the caller has re-proven that the memoized line still
-  // holds `line_addr` (valid + tag), ReplayDataHitAt applies exactly what
-  // the reference access performs for that hit — hit count, LRU tick,
-  // dirty bit, and the same-line hint, which every reference hit path
-  // leaves equal to the accessed line. site_hint() re-arms a memo after a
-  // generic Access: both hit paths and the miss refill keep last_line_
-  // pointing at the line the access touched. The shifts are exact in
-  // every config (the geometry is power-of-two checked; the reference
-  // path's divides compute the same values).
+  // micro-ops. A memo pairs a line pointer with the line address it was
+  // armed for; Holds re-proves that the line still holds that address
+  // before the memo calls Hit. site_hint() re-arms a memo after a generic
+  // Access: both hit paths and the miss refill leave last_line_ on the
+  // line the access touched. The shifts are exact in every config (the
+  // geometry is power-of-two checked; the reference path's divides
+  // compute the same values).
   std::uint64_t LineAddrOf(std::uint64_t phys_addr) const {
     return phys_addr >> line_shift_;
   }
-  // Hits are batched per block run: the caller stamps each proven hit with
-  // `tick = replay_base() + k` (k = 1-based hit index since the last
-  // commit) and commits the hit count and tick advance in one
-  // CommitReplayBatch call. Identical to per-hit ++tick_/++stats_.hits as
-  // long as the pending batch is flushed before any generic Access
-  // interleaves.
-  unsigned ReplayDataHitAt(Line* line, std::uint64_t line_addr, bool write,
-                           std::uint64_t tick) {
-    line->lru_tick = tick;
-    line->dirty = line->dirty || write;
-    last_line_ = line;
-    last_line_addr_ = line_addr;
-    return config_.hit_cycles;
+  bool Holds(const Line* line, std::uint64_t line_addr) const {
+    return line != nullptr && line->valid &&
+           line->tag == (line_addr >> set_shift_);
   }
   Line* site_hint() { return last_line_; }
 

@@ -92,9 +92,6 @@ System::System(const SystemConfig& config) : config_(config) {
   cpu::CpuConfig cpu_config = config.cpu;
   cpu_config.roload_enabled =
       config.variant != SystemVariant::kBaseline;
-  // Per-superblock telemetry rides the trace config: host-only collection
-  // inside the translator, observation by construction.
-  if (trace_config.jit) cpu_config.jit_stats = true;
 
   if (config.harts >= 2) {
     l2_ = std::make_unique<cache::Cache>(config.l2);

@@ -221,20 +221,6 @@ template <typename Cycles>
 template <tlb::AccessType A>
 using AccessTag = std::integral_constant<tlb::AccessType, A>;
 
-// The permission bits a memoized D-TLB entry must still carry for a plain
-// load or store site to replay its hit. ld.ro instead re-runs the whole
-// key-checked datapath on every hit (Tlb::RoSitePermissions).
-template <tlb::AccessType A>
-bool MemoPermits(const mem::Pte& pte) {
-  if constexpr (A == tlb::AccessType::kLoad) {
-    return pte.readable() && pte.user();
-  } else if constexpr (A == tlb::AccessType::kStore) {
-    return pte.writable() && pte.user();
-  } else {
-    return true;
-  }
-}
-
 }  // namespace
 
 void SetHostFastPaths(CpuConfig* config, bool enabled) {
@@ -278,9 +264,7 @@ Cpu::Cpu(const CpuConfig& config, mem::PhysMemory* memory)
       dtlb_(config.dtlb, memory) {
   if (config.host_decode_cache) decode_cache_.resize(kDecodeCacheSlots);
   if (config.host_translate) {
-    translator_ = std::make_unique<Translator>(config.translate_threshold,
-                                               config.translate_max_blocks);
-    if (config.jit_stats) translator_->EnableJitStats();
+    translator_ = std::make_unique<Translator>(config.translate_threshold);
     code_table_ = std::make_shared<CodeVersionTable>(memory->size());
     code_table_ptr_ = code_table_.get();
   }
@@ -321,6 +305,9 @@ void Cpu::set_trace(trace::Hub* hub) {
   dtlb_.set_trace(hub, trace::Unit::kDTlb);
   icache_.set_trace(hub, trace::Unit::kICache);
   dcache_.set_trace(hub, trace::Unit::kDCache);
+  if (hub != nullptr && hub->config().jit && translator_ != nullptr) {
+    translator_->EnableJitStats();
+  }
 }
 
 void Cpu::RaiseTrap(isa::TrapCause cause, std::uint64_t tval) {
@@ -739,7 +726,7 @@ TranslatedBlock* Cpu::BuildBlock() {
   block->phys_page = entry->phys_page;
   block->itlb_entry = entry;
   std::uint64_t vpc = pc_;
-  while (block->ops.size() < config_.translate_max_ops) {
+  while (block->ops.size() < kTranslateMaxOps) {
     if ((vpc >> mem::kPageShift) != block->vpn) break;  // page end
     const std::uint64_t phys =
         (block->phys_page << mem::kPageShift) | (vpc & (mem::kPageSize - 1));
@@ -871,9 +858,10 @@ bool Cpu::BlockGuardsPass(TranslatedBlock* block) {
 // Ops outside the fast set — ecall/ebreak, ld.ro while the roload_check
 // event stream is live, and any future opcode — run through the
 // unmodified ExecuteDecodedImpl<true>, which does its own accounting.
-// Memory ops use per-site inline caches (TranslatedOp memos) validated
-// against the live D-TLB entry / D-cache line before replaying the exact
-// reference hit mutations.
+// Memory ops use per-site inline caches (TranslatedOp memos): a memo that
+// still covers the access calls the D-TLB's or D-cache's one hit body
+// (Tlb::Hit, Cache::Hit), so a memo hit applies the reference hit's
+// mutations at once; nothing on the data side is batched.
 StepEvent Cpu::ExecuteBlock(TranslatedBlock* block, std::uint64_t target) {
   TranslatedOp* ops = block->ops.data();  // non-const: per-site memo re-arming
   const LineGuard* lines = block->lines.data();
@@ -904,29 +892,6 @@ StepEvent Cpu::ExecuteBlock(TranslatedBlock* block, std::uint64_t target) {
   const bool ro_generic =
       trace_ != nullptr && trace_->enabled(trace::EventCategory::kRoLoad);
 
-  // Batched D-side hit bookkeeping (see Tlb/Cache ReplaySiteHitAt): site
-  // hits stamp LRU ticks from a base read when the batch opens and commit
-  // hit counts + tick advances in bulk. Any generic lookup would observe
-  // the shared tick, so the batch is flushed first (after which the next
-  // site hit re-reads the base).
-  // The bases are re-read after every generic lookup/access (which bumps
-  // the shared tick behind the batch's back), so a stamp is always
-  // base + 1-based index with no per-hit branch.
-  std::uint64_t dtlb_pending = 0;
-  std::uint64_t dtlb_base = dtlb_.replay_base();
-  std::uint64_t dc_pending = 0;
-  std::uint64_t dc_base = dcache_.replay_base();
-  auto flush_mem = [&] {
-    if (dtlb_pending != 0) {
-      dtlb_.CommitReplayBatch(dtlb_pending);
-      dtlb_pending = 0;
-    }
-    if (dc_pending != 0) {
-      dcache_.CommitReplayBatch(dc_pending);
-      dc_pending = 0;
-    }
-  };
-
   // Trap from an inline memory op: the op's fetch replayed and its cycles
   // are charged, but it does not retire and pc stays at the faulting
   // instruction — exactly the reference MemAccess-failure path.
@@ -946,7 +911,7 @@ StepEvent Cpu::ExecuteBlock(TranslatedBlock* block, std::uint64_t target) {
 
   // The one memory micro-op path: a load, ld.ro or store of op `idx`,
   // specialized at compile time on its access type. The three differ only
-  // where their semantics do: the permission bits a memo hit re-proves,
+  // where their semantics do: the permission bits the D-TLB hit checks,
   // the ld.ro key check, and the store's write, code-page bump and
   // self-modifying-code exit. Returns true when the op retired and the run
   // goes on; false when it trapped or ended the run (done/next_pc set).
@@ -965,7 +930,6 @@ StepEvent Cpu::ExecuteBlock(TranslatedBlock* block, std::uint64_t target) {
       ++stats_.loads;
       if constexpr (A == tlb::AccessType::kRoLoad) ++stats_.roload_loads;
     }
-    unsigned mem_cycles = 0;  // D-TLB walk + D-cache cycles beyond fetch
     const unsigned bytes = op.mem_bytes;
     if ((addr & (bytes - 1)) != 0) {
       trap_exit(idx,
@@ -974,43 +938,23 @@ StepEvent Cpu::ExecuteBlock(TranslatedBlock* block, std::uint64_t target) {
                 addr, fetch_cycles);
       return false;
     }
-    // Site-cached translation: re-prove the memoized entry (tag and, for
-    // plain loads and stores, permission bits — side-effect-free reads, so
-    // checking them up front commutes with the reference order) and replay
-    // the hit; otherwise run the generic lookup and re-arm the memo.
-    std::uint64_t phys;
-    tlb::Tlb::Entry* te = op.dtlb_memo;
-    if (te != nullptr && te->valid && te->vpn == (addr >> mem::kPageShift) &&
-        te->asid_root == root && MemoPermits<A>(te->pte)) {
-      dtlb_.ReplaySiteHitAt<A>(te, dtlb_base + ++dtlb_pending);
-      if constexpr (A == tlb::AccessType::kRoLoad) {
-        // The key-checked permission datapath runs *after* the hit stamp
-        // (reference order) and exactly once per executed site — it
-        // mutates the key-check census. EmitRoLoadFault is structurally
-        // disabled here (ro_generic tested the same predicate), so
-        // skipping it is exact; the trap is the reference failure path.
-        tlb::RoLoadFailKind fail_kind = tlb::RoLoadFailKind::kNone;
-        if (auto cause =
-                dtlb_.RoSitePermissions(te->pte, inst.key, &fail_kind)) {
-          trap_exit(idx, *cause, addr, fetch_cycles);
-          return false;
-        }
-      }
-      phys =
-          (te->phys_page << mem::kPageShift) + (addr & (mem::kPageSize - 1));
+    // Site-cached translation: a memo that still covers the page takes
+    // the TLB's one hit body (permission check and fault included);
+    // otherwise the generic lookup runs and re-arms the memo.
+    tlb::TlbResult xlat;
+    if (tlb::Tlb::Covers(op.dtlb_memo, root, addr)) {
+      xlat = dtlb_.Hit(op.dtlb_memo, addr, A, inst.key);
     } else {
-      flush_mem();
       ++translator_->stats().dtlb_memo_misses;
-      const auto xlat = dtlb_.TranslateFor<A>(root, addr, inst.key);
+      xlat = dtlb_.TranslateFor<A>(root, addr, inst.key);
       op.dtlb_memo = dtlb_.site_hint(A);
-      dtlb_base = dtlb_.replay_base();
-      mem_cycles += xlat.cycles;
-      if (!xlat.ok) {
-        trap_exit(idx, xlat.cause, addr, fetch_cycles + mem_cycles);
-        return false;
-      }
-      phys = xlat.phys_addr;
     }
+    unsigned mem_cycles = xlat.cycles;  // D-TLB walk + D-cache beyond fetch
+    if (!xlat.ok) {
+      trap_exit(idx, xlat.cause, addr, fetch_cycles + mem_cycles);
+      return false;
+    }
+    const std::uint64_t phys = xlat.phys_addr;
     if (!memory->Contains(phys, bytes)) {
       trap_exit(idx,
                 kStore ? isa::TrapCause::kStoreAccessFault
@@ -1019,19 +963,14 @@ StepEvent Cpu::ExecuteBlock(TranslatedBlock* block, std::uint64_t target) {
       return false;
     }
     const std::uint64_t line_addr = dcache_.LineAddrOf(phys);
-    cache::Cache::Line* dl = op.dline_memo;
-    if (dl != nullptr && line_addr == op.dline_addr && dl->valid &&
-        dl->tag == op.dline_tag) {
-      mem_cycles += dcache_.ReplayDataHitAt(dl, line_addr, kStore,
-                                            dc_base + ++dc_pending);
+    if (line_addr == op.dline_addr &&
+        dcache_.Holds(op.dline_memo, line_addr)) {
+      mem_cycles += dcache_.Hit(op.dline_memo, line_addr, kStore);
     } else {
-      flush_mem();
       ++translator_->stats().dcache_memo_misses;
       mem_cycles += dcache_.Access(phys, kStore);
       op.dline_memo = dcache_.site_hint();
       op.dline_addr = line_addr;
-      op.dline_tag = dcache_.TagOf(phys);
-      dc_base = dcache_.replay_base();
     }
     ++fast_ops;
     extra_cycles += mem_cycles;
@@ -1146,14 +1085,10 @@ StepEvent Cpu::ExecuteBlock(TranslatedBlock* block, std::uint64_t target) {
       default:
       generic_op: {
         // Generic micro-op (ecall/ebreak, ld.ro with the event stream
-        // live): run the reference executor, which needs pc_ live, the
-        // pending D-side batches flushed, and accounts for itself.
-        flush_mem();
+        // live): run the reference executor, which needs pc_ live and
+        // accounts for itself.
         pc_ = op.pc;
         const StepEvent event = ExecuteDecodedImpl<true>(inst, fetch_cycles);
-        // Its data access moved the shared ticks: re-read the bases.
-        dtlb_base = dtlb_.replay_base();
-        dc_base = dcache_.replay_base();
         if (event != StepEvent::kRetired) {
           if (event == StepEvent::kTrap) {
             if (pending_trap_.cause == isa::TrapCause::kRoLoadPageFault) {
@@ -1190,7 +1125,6 @@ exit:
     stats_.instructions += fast_ops;
     stats_.cycles += fast_ops * (fetch_cycles + 1) + extra_cycles;
   }
-  flush_mem();
   pc_ = next_pc;
   if (done != 0) {
     itlb_.ReplayFetchHits(block->itlb_entry, done);

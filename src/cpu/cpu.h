@@ -45,9 +45,9 @@ struct CpuConfig {
   // superblocks into replayable micro-op form and execute them under
   // TLB/I-cache/code-version guards, deopting to the interpreter on any
   // guard miss. Only Run() uses blocks; Step() always interprets. Off by
-  // default — off reproduces the seed simulator bit-identically, on is
-  // pinned bit-identical by the differential suite in
-  // tests/test_translate.cpp.
+  // default. Off reproduces the seed simulator bit-identically; on is
+  // bit-identical too (the differential suite in tests/test_translate.cpp
+  // pins it).
   bool host_translate = false;
   // Visits of one pc before a block is built there (1 = translate eagerly;
   // tests use 1 to force building on short fixtures). 2 is the sweet spot:
@@ -56,17 +56,6 @@ struct CpuConfig {
   // anything re-entered amortizes immediately), while higher thresholds
   // leave warm code (executed a handful of times) interpreting forever.
   unsigned translate_threshold = 2;
-  // Superblock op cap and total live-block cap (reaching the block cap
-  // frees every block and starts over — a simple, safe flush policy).
-  unsigned translate_max_ops = 64;
-  unsigned translate_max_blocks = 4096;
-  // Host-only per-superblock telemetry (src/trace/jitstats.h): keep one
-  // build/entry/replay record per (root, head_pc) in the translator,
-  // feeding the roload.jit.v1 report's block rows and hot/cold census.
-  // Off, the hooks are one dead pointer test; on, they are plain host
-  // counter increments — bit-identity to off is pinned by the
-  // differential in tests/test_translate.cpp.
-  bool jit_stats = false;
 };
 
 // The three execute tiers, in increasing host speed: the reference
@@ -173,7 +162,8 @@ class Cpu {
   // Telemetry attachment: retire events, cycle attribution, and the
   // TLB/cache event streams all flow into `hub` (null detaches). The hub
   // observes only — attaching one never changes architectural state or
-  // cycle counts.
+  // cycle counts. A hub whose config asks for jit telemetry
+  // (TraceConfig::jit) also turns on the translator's per-block records.
   void set_trace(trace::Hub* hub);
 
   // Attaches a shared next-level cache (the SMP machine's L2) below both
@@ -198,7 +188,7 @@ class Cpu {
 
   // Accumulates this hart's translator telemetry into `report` as hart
   // `hart`: the aggregate counters, the per-reason deopt attribution and
-  // (when CpuConfig::jit_stats collected them) one row per translated
+  // (when TraceConfig::jit collected them) one row per translated
   // (root, head_pc). Rows carry empty symbol fields — symbolization needs
   // the link image, which this layer cannot see (callers use
   // audit::Symbolizer). Only total_instructions is added when the tier is

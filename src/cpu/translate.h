@@ -19,15 +19,17 @@
 // hit per instruction, batched per block run — see Tlb::ReplayFetchHits
 // and the Cache replay-batch API) and then executes the pre-decoded
 // instruction with the interpreter's own semantics: the same ExecAlu and
-// BranchTaken definitions Step() uses, one memory micro-op path that
-// replays the reference D-TLB/D-cache hit mutations (running the real
-// lookups, the ld.ro key check included, on any memo miss), and
-// Step()'s own execute body for everything else (ecall/ebreak, ld.ro
-// while the roload_check event stream is live). Cycles and every counter
-// must match the reference interpreter bit for bit (the differential
-// suite in tests/test_translate.cpp checks it). Any guard miss deopts to
-// Step() for at least one instruction (performing the *real* miss with its
-// real cost) and retries, so misses are never approximated.
+// BranchTaken definitions Step() uses, one memory micro-op path whose
+// per-site memos hit through the D-TLB's and D-cache's own hit bodies
+// (running the real lookups, the ld.ro key check included, on any memo
+// miss), and Step()'s own execute body for everything else (ecall/ebreak,
+// ld.ro while the roload_check event stream is live). Cycles and every
+// counter match the reference interpreter bit for bit: the differential
+// suite in tests/test_translate.cpp pins it, and CI compares the tiers
+// cell by cell on every workload at scale 0.05 and at scale 8. Any guard
+// miss deopts to Step() for at least one instruction (performing the
+// *real* miss with its real cost) and retries, so misses are never
+// approximated.
 #pragma once
 
 #include <cstdint>
@@ -45,6 +47,11 @@
 #include "trace/jitstats.h"
 
 namespace roload::cpu {
+
+// Superblock op cap, and live-block cap (reaching it frees every block and
+// starts over — a simple, safe flush policy).
+inline constexpr unsigned kTranslateMaxOps = 64;
+inline constexpr std::size_t kTranslateMaxBlocks = 4096;
 
 // Per-physical-page code version table: the write barrier that catches
 // self-modifying (and, in SMP, cross-hart) code writes. Pages are marked
@@ -109,16 +116,16 @@ struct TranslatedOp {
   // time instead of per execution). Zero for non-memory ops.
   std::uint8_t mem_bytes = 0;
   bool load_unsigned = false;
-  // Per-site inline caches: the D-TLB entry and D-cache line this op hit
-  // last time. Self-validating — the executor re-proves them against the
-  // current access before replaying the hit and falls back to the generic
-  // lookup (re-arming the memo) otherwise. The pointers target pool
-  // storage that never reallocates, so a stale memo is merely cold, never
-  // dangling.
+  // Per-site inline caches: the D-TLB entry and D-cache line (with the
+  // line address it was armed for) this op touched last time.
+  // Self-validating — the executor re-proves them against the current
+  // access (Tlb::Covers, Cache::Holds) before taking the hit and falls
+  // back to the generic lookup (re-arming the memo) otherwise. The
+  // pointers target pool storage that never reallocates, so a stale memo
+  // is merely cold, never dangling.
   tlb::Tlb::Entry* dtlb_memo = nullptr;
   cache::Cache::Line* dline_memo = nullptr;
   std::uint64_t dline_addr = 0;
-  std::uint64_t dline_tag = 0;
 };
 
 // One pinned I-cache line a block's fetches replay hits on. `line` may be
@@ -133,7 +140,7 @@ struct LineGuard {
 // Per-superblock telemetry record, accumulated across rebuilds of the
 // same (root, head_pc) — the row source of the roload.jit.v1 report.
 // Lives in the translator's jit-stats map (which survives InvalidateAll)
-// and only exists when CpuConfig::jit_stats enabled collection.
+// and only exists when TraceConfig::jit enabled collection.
 struct JitBlockStats {
   std::uint64_t builds = 0;
   std::uint64_t retires = 0;
@@ -227,10 +234,8 @@ struct TranslatorStats {
 // is only called between blocks — TLB flush, capacity).
 class Translator {
  public:
-  Translator(unsigned threshold, unsigned max_blocks)
-      : threshold_(threshold == 0 ? 1 : threshold),
-        max_blocks_(max_blocks == 0 ? 1 : max_blocks),
-        visits_(kVisitSlots) {}
+  explicit Translator(unsigned threshold)
+      : threshold_(threshold == 0 ? 1 : threshold), visits_(kVisitSlots) {}
 
   // Block lookup; nullptr on miss (including dead or mismatching blocks).
   TranslatedBlock* Lookup(std::uint64_t root_ppn, std::uint64_t pc);
@@ -253,16 +258,17 @@ class Translator {
   // between blocks (no block mid-execution, no live chain source).
   void InvalidateAll();
 
-  bool AtCapacity() const { return blocks_.size() >= max_blocks_; }
+  bool AtCapacity() const { return blocks_.size() >= kTranslateMaxBlocks; }
 
   TranslatorStats& stats() { return stats_; }
   const TranslatorStats& stats() const { return stats_; }
 
-  // Per-block telemetry collection (CpuConfig::jit_stats). Off by
-  // default: Insert then leaves TranslatedBlock::jit null and every
-  // collection hook is one dead pointer test. The map is keyed by the
-  // real (root, head_pc) — no hash aliasing, deterministic iteration —
-  // and accumulates across InvalidateAll so rebuild churn is visible.
+  // Per-block telemetry collection (TraceConfig::jit, applied by
+  // Cpu::set_trace). Off by default: Insert then leaves
+  // TranslatedBlock::jit null and every collection hook is one dead
+  // pointer test. The map is keyed by the real (root, head_pc) — no hash
+  // aliasing, deterministic iteration — and accumulates across
+  // InvalidateAll so rebuild churn is visible.
   void EnableJitStats() { jit_stats_enabled_ = true; }
   bool jit_stats_enabled() const { return jit_stats_enabled_; }
   const std::map<std::pair<std::uint64_t, std::uint64_t>, JitBlockStats>&
@@ -283,7 +289,6 @@ class Translator {
   };
 
   unsigned threshold_;
-  std::size_t max_blocks_;
   std::deque<std::unique_ptr<TranslatedBlock>> blocks_;
   std::unordered_map<std::uint64_t, TranslatedBlock*> map_;
   std::vector<VisitSlot> visits_;

@@ -36,30 +36,26 @@ void Tlb::EmitRoLoadFault(isa::TrapCause cause, std::uint64_t virt_addr,
 
 Tlb::Entry* Tlb::LookupEntry(std::uint64_t vpn, std::uint64_t root_ppn,
                              AccessType access) {
+  // The lookup hint first: one shared register on the reference path, one
+  // per access type on the indexed path.
+  Entry* hint = site_hint(access);
+  if (hint != nullptr && hint->valid && hint->vpn == vpn &&
+      hint->asid_root == root_ppn) {
+    return hint;
+  }
   if (!config_.host_indexed_lookup) {
-    // Reference path: one shared hint, then the fully-associative scan.
-    if (last_entry_ != nullptr && last_entry_->valid &&
-        last_entry_->vpn == vpn && last_entry_->asid_root == root_ppn) {
-      return last_entry_;
-    }
+    // Reference path: the fully-associative scan.
     for (Entry& entry : entries_) {
       if (entry.valid && entry.vpn == vpn && entry.asid_root == root_ppn) {
-        last_entry_ = &entry;
         return &entry;
       }
     }
     return nullptr;
   }
-  Entry*& last = last_translation_[static_cast<std::size_t>(access)];
-  if (last != nullptr && last->valid && last->vpn == vpn &&
-      last->asid_root == root_ppn) {
-    return last;
-  }
   for (std::int32_t i = bucket_head_[BucketOf(vpn, root_ppn)]; i >= 0;
        i = chain_next_[i]) {
     Entry& entry = entries_[static_cast<std::size_t>(i)];
     if (entry.valid && entry.vpn == vpn && entry.asid_root == root_ppn) {
-      last = &entry;
       return &entry;
     }
   }
@@ -78,8 +74,8 @@ void Tlb::UnlinkEntry(std::int32_t index) {
   }
 }
 
-void Tlb::InsertEntry(std::uint64_t vpn, std::uint64_t root_ppn,
-                      const mem::Pte& pte, std::uint64_t phys_page) {
+Tlb::Entry* Tlb::InsertEntry(std::uint64_t vpn, std::uint64_t root_ppn,
+                             const mem::Pte& pte, std::uint64_t phys_page) {
   Entry* victim = nullptr;
   for (Entry& entry : entries_) {
     if (!entry.valid) {
@@ -112,31 +108,17 @@ void Tlb::InsertEntry(std::uint64_t vpn, std::uint64_t root_ppn,
   victim->pte = pte;
   victim->phys_page = phys_page;
   victim->lru_tick = ++tick_;
+  return victim;
 }
 
 TlbResult Tlb::TranslateSlow(std::uint64_t root_ppn, std::uint64_t virt_addr,
                              AccessType access, std::uint32_t key) {
-  TlbResult result;
   const std::uint64_t vpn = virt_addr >> mem::kPageShift;
-  const std::uint64_t offset = virt_addr & (mem::kPageSize - 1);
-
-  Entry* entry = LookupEntry(vpn, root_ppn, access);
-  if (entry != nullptr) {
-    ++stats_.hits;
-    entry->lru_tick = ++tick_;
-    if (auto cause = CheckPermissions(entry->pte, access, key, &stats_,
-                                      &result.roload_fail_kind)) {
-      result.ok = false;
-      result.cause = *cause;
-      EmitRoLoadFault(result.cause, virt_addr, key);
-      return result;
-    }
-    result.ok = true;
-    result.phys_addr = (entry->phys_page << mem::kPageShift) + offset;
-    result.cycles = 0;
-    return result;
+  if (Entry* entry = LookupEntry(vpn, root_ppn, access)) {
+    return Hit(entry, virt_addr, access, key);
   }
 
+  TlbResult result;
   ++stats_.misses;
   auto walk = walker_.Walk(root_ppn, virt_addr);
   const unsigned walk_cycles =
@@ -169,7 +151,7 @@ TlbResult Tlb::TranslateSlow(std::uint64_t root_ppn, std::uint64_t virt_addr,
   // Refill at 4 KiB granularity (superpages are fragmented on refill, like
   // simple L1 TLBs do).
   const std::uint64_t phys_page = walk->phys_addr >> mem::kPageShift;
-  InsertEntry(vpn, root_ppn, walk->pte, phys_page);
+  SetHint(access, InsertEntry(vpn, root_ppn, walk->pte, phys_page));
 
   if (auto cause = CheckPermissions(walk->pte, access, key, &stats_,
                                     &result.roload_fail_kind)) {

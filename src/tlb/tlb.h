@@ -128,48 +128,27 @@ class Tlb {
   // `key` is only consulted for AccessType::kRoLoad.
   //
   // The inline body is the host fast path: when the per-access-type
-  // last-translation register covers the page, the hit (including the
-  // stats/LRU updates and the full permission datapath) completes without
-  // an out-of-line call. It performs exactly the steps TranslateSlow
-  // performs for the same hit, so results and TlbStats are bit-identical
-  // whichever path serves the access.
+  // last-translation register covers the page, the access runs Hit()
+  // without an out-of-line call. Every hit, whichever path found the
+  // entry, runs that one body, so results and TlbStats do not depend on
+  // the path.
   TlbResult Translate(std::uint64_t root_ppn, std::uint64_t virt_addr,
                       AccessType access, std::uint32_t key) {
     if (config_.host_indexed_lookup) {
       Entry* entry = last_translation_[static_cast<std::size_t>(access)];
-      if (entry != nullptr && entry->valid &&
-          entry->vpn == (virt_addr >> mem::kPageShift) &&
-          entry->asid_root == root_ppn) {
-        ++stats_.hits;
-        entry->lru_tick = ++tick_;
-        TlbResult result;
-        if (auto cause = CheckPermissions(entry->pte, access, key, &stats_,
-                                          &result.roload_fail_kind)) {
-          result.ok = false;
-          result.cause = *cause;
-          EmitRoLoadFault(result.cause, virt_addr, key);
-          return result;
-        }
-        result.ok = true;
-        result.phys_addr = (entry->phys_page << mem::kPageShift) +
-                           (virt_addr & (mem::kPageSize - 1));
-        result.cycles = 0;
-        return result;
+      if (Covers(entry, root_ppn, virt_addr)) {
+        return Hit(entry, virt_addr, access, key);
       }
     }
     return TranslateSlow(root_ppn, virt_addr, access, key);
   }
 
   // Compile-time-specialized Translate for the translated tier's inline
-  // data micro-ops (loads, stores, and the ld.ro family). It performs
-  // exactly the steps Translate performs — same hint register, same
-  // hit/LRU/permission/fault mutations in the same order — with the
-  // permission switch folded at compile time (CheckPermissions dispatches
-  // on the constant A, so kLoad/kStore reduce to two bit tests and
-  // kRoLoad keeps the full key-check datapath and its counters).
-  // EmitRoLoadFault only ever emits for kRoLoadPageFault, so the
-  // conditional call is exact for every A. Hint misses and the reference
-  // lookup delegate to TranslateSlow unchanged.
+  // data micro-ops (loads, stores, and the ld.ro family): the same hint
+  // register and the same Hit(), with the permission switch folded at
+  // compile time (kLoad/kStore reduce to two bit tests; kRoLoad keeps the
+  // full key-check datapath and its counters). Hint misses delegate to
+  // TranslateSlow unchanged.
   template <AccessType A>
   TlbResult TranslateFor(std::uint64_t root_ppn, std::uint64_t virt_addr,
                          std::uint32_t key) {
@@ -178,29 +157,44 @@ class Tlb {
                   "fetch accesses use Translate()");
     if (config_.host_indexed_lookup) {
       Entry* entry = last_translation_[static_cast<std::size_t>(A)];
-      if (entry != nullptr && entry->valid &&
-          entry->vpn == (virt_addr >> mem::kPageShift) &&
-          entry->asid_root == root_ppn) {
-        ++stats_.hits;
-        entry->lru_tick = ++tick_;
-        TlbResult result;
-        if (auto cause = CheckPermissions(entry->pte, A, key, &stats_,
-                                          &result.roload_fail_kind)) {
-          result.ok = false;
-          result.cause = *cause;
-          if (A == AccessType::kRoLoad) {
-            EmitRoLoadFault(result.cause, virt_addr, key);
-          }
-          return result;
-        }
-        result.ok = true;
-        result.phys_addr = (entry->phys_page << mem::kPageShift) +
-                           (virt_addr & (mem::kPageSize - 1));
-        result.cycles = 0;
-        return result;
+      if (Covers(entry, root_ppn, virt_addr)) {
+        return Hit(entry, virt_addr, A, key);
       }
     }
     return TranslateSlow(root_ppn, virt_addr, A, key);
+  }
+
+  // True when `entry` is live and maps `virt_addr` under `root_ppn`: the
+  // tag match a lookup hint, and the translated tier's per-site memo,
+  // proves before taking the hit.
+  static bool Covers(const Entry* entry, std::uint64_t root_ppn,
+                     std::uint64_t virt_addr) {
+    return entry != nullptr && entry->valid &&
+           entry->vpn == (virt_addr >> mem::kPageShift) &&
+           entry->asid_root == root_ppn;
+  }
+
+  // The one hit body: one hit count, the LRU tick, the lookup hint, then
+  // the permission datapath (the ld.ro key check and its per-key census
+  // included) and the fault event. Translate's hint, TranslateSlow's
+  // lookup and the translated tier's per-site memo (after Covers) all
+  // call it, so a hit is the same mutation whoever found the entry.
+  [[gnu::always_inline]] TlbResult Hit(Entry* entry, std::uint64_t virt_addr,
+                                       AccessType access, std::uint32_t key) {
+    ++stats_.hits;
+    entry->lru_tick = ++tick_;
+    SetHint(access, entry);
+    TlbResult result;
+    if (auto cause = CheckPermissions(entry->pte, access, key, &stats_,
+                                      &result.roload_fail_kind)) {
+      result.cause = *cause;
+      EmitRoLoadFault(result.cause, virt_addr, key);
+      return result;
+    }
+    result.ok = true;
+    result.phys_addr = (entry->phys_page << mem::kPageShift) +
+                       (virt_addr & (mem::kPageSize - 1));
+    return result;
   }
 
   // Guard-probe for the translation tier: returns the entry covering
@@ -231,60 +225,16 @@ class Tlb {
     stats_.hits += n;
     tick_ += n;
     entry->lru_tick = tick_;
-    if (config_.host_indexed_lookup) {
-      last_translation_[static_cast<std::size_t>(AccessType::kFetch)] = entry;
-    } else {
-      last_entry_ = entry;
-    }
+    SetHint(AccessType::kFetch, entry);
   }
 
-  // Per-site inline-cache support for the translated tier's memory
-  // micro-ops. A block op that repeatedly touches the same page memoizes
-  // the entry it hit; once the caller has re-proven the entry (valid, vpn,
-  // asid_root) and its permission bits for access A, ReplaySiteHitAt
-  // (below) applies exactly the mutations the reference lookup performs
-  // for that hit — one hit count, the LRU tick, and the lookup hint, which
-  // every reference hit path leaves pointing at the matched entry.
-  // site_hint() is what a memo re-arms from after a generic Translate: it
-  // holds the matched entry after any hit (after a refill it may lag one
-  // access, which only costs one more generic lookup).
+  // The entry the last `access` translation hit or refilled: what the
+  // translated tier's per-site memo re-arms from after a generic
+  // Translate. Unchanged by a walk that faults.
   Entry* site_hint(AccessType access) {
     return config_.host_indexed_lookup
                ? last_translation_[static_cast<std::size_t>(access)]
                : last_entry_;
-  }
-
-  // Site hits are batched per block run: the caller stamps each proven
-  // hit with `tick = replay_base() + k` (k = 1-based hit index since the
-  // last commit) and commits the hit count and tick advance in one
-  // CommitReplayBatch call, exactly as the fetch replay does. The split is
-  // observationally identical to per-hit ++tick_/++stats_.hits because
-  // nothing reads this TLB between the stamps and the commit — the
-  // executor flushes the pending batch before any generic lookup.
-  std::uint64_t replay_base() const { return tick_; }
-  void CommitReplayBatch(std::uint64_t hits) {
-    stats_.hits += hits;
-    tick_ += hits;
-  }
-  template <AccessType A>
-  void ReplaySiteHitAt(Entry* entry, std::uint64_t tick) {
-    entry->lru_tick = tick;
-    if (config_.host_indexed_lookup) {
-      last_translation_[static_cast<std::size_t>(A)] = entry;
-    } else {
-      last_entry_ = entry;
-    }
-  }
-
-  // Public permission datapath for the translated tier's per-site ld.ro
-  // micro-ops: exactly the CheckPermissions(kRoLoad) half of a Translate
-  // hit (key-check counters, per-key pass/fail census, fault kind), run
-  // after the caller proved the memoized entry covers the page. Nullopt
-  // when the checked load is allowed.
-  std::optional<isa::TrapCause> RoSitePermissions(const mem::Pte& pte,
-                                                 std::uint32_t key,
-                                                 RoLoadFailKind* fail_kind) {
-    return CheckPermissions(pte, AccessType::kRoLoad, key, &stats_, fail_kind);
   }
 
   // Invalidates all entries (sfence.vma analogue). Must be called by the
@@ -304,7 +254,7 @@ class Tlb {
   // The permission-check datapath (conventional + ROLoad in parallel).
   // Returns nullopt when access is allowed, else the trap cause; for
   // kRoLoad, *fail_kind reports why the check failed. Defined inline (it
-  // sits on the per-access hot path of both lookup paths).
+  // sits on the per-access hot path: every Hit runs it).
   static std::optional<isa::TrapCause> CheckPermissions(
       const mem::Pte& pte, AccessType access, std::uint32_t key,
       TlbStats* stats, RoLoadFailKind* fail_kind) {
@@ -361,9 +311,19 @@ class Tlb {
   TlbResult TranslateSlow(std::uint64_t root_ppn, std::uint64_t virt_addr,
                           AccessType access, std::uint32_t key);
 
+  // Points the lookup hint for `access` at `entry` (host-only: a hint is
+  // re-proven with Covers before every use).
+  void SetHint(AccessType access, Entry* entry) {
+    if (config_.host_indexed_lookup) {
+      last_translation_[static_cast<std::size_t>(access)] = entry;
+    } else {
+      last_entry_ = entry;
+    }
+  }
   Entry* LookupEntry(std::uint64_t vpn, std::uint64_t root_ppn,
                      AccessType access);
-  void InsertEntry(std::uint64_t vpn, std::uint64_t root_ppn,
+  // Fills the LRU victim and returns it.
+  Entry* InsertEntry(std::uint64_t vpn, std::uint64_t root_ppn,
                    const mem::Pte& pte, std::uint64_t phys_page);
   // Records a key-check failure in the event stream (no-op for other
   // causes or when the kRoLoad category is masked off).

@@ -30,7 +30,7 @@ struct TraceConfig {
   // category. Observation-only, like everything else here.
   bool audit = false;
   // Translation-tier introspection (src/trace/jitstats.h): collect
-  // per-superblock telemetry in the translator (CpuConfig::jit_stats) and
+  // per-superblock telemetry in the translator (Cpu::set_trace reads it) and
   // fill RunMetrics::jit_counters / the roload.jit.v1 report after the
   // run. Host-only observation; a no-op when the translated tier is off.
   bool jit = false;

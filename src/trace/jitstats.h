@@ -1,7 +1,7 @@
 // Translation-tier introspection: the pure-data model and exporters of
 // the `roload.jit.v1` schema. The translation tier (src/cpu/translate.h)
 // fills a JitReport with its aggregate counters, the per-reason deopt
-// attribution and (when CpuConfig::jit_stats collected them) per-block
+// attribution and (when TraceConfig::jit collected them) per-block
 // rows; FinalizeJitReport computes the hot/cold census that measures the
 // one-shot cold-code floor the ROADMAP's 10× follow-on needs.
 //

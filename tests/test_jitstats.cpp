@@ -133,7 +133,7 @@ TEST(JitStatsTest, DeoptReasonsSumToGuardFails) {
   core::SystemConfig config;
   cpu::SetExecTier(&config.cpu, cpu::ExecTier::kTranslated);
   config.cpu.translate_threshold = 1;
-  config.cpu.jit_stats = true;
+  config.trace.jit = true;
   const testing::GuestRun run =
       testing::RunGuest(kPatchedCalleeGuest, config);
   ASSERT_EQ(run.result.kind, kernel::ExitKind::kExited);
@@ -156,7 +156,7 @@ TEST(JitStatsTest, DeoptReasonsSumToGuardFailsOnRealWorkload) {
   core::SystemConfig config;
   config.variant = core::SystemVariant::kFullRoload;
   cpu::SetExecTier(&config.cpu, cpu::ExecTier::kTranslated);
-  config.cpu.jit_stats = true;
+  config.trace.jit = true;
   core::System system(config);
   ASSERT_TRUE(system.Load(build.image).ok());
   const kernel::RunResult result = system.Run();
@@ -176,7 +176,7 @@ TEST(JitStatsTest, CensusPartitionsRetiredInstructions) {
   core::SystemConfig config;
   config.variant = core::SystemVariant::kFullRoload;
   cpu::SetExecTier(&config.cpu, cpu::ExecTier::kTranslated);
-  config.cpu.jit_stats = true;
+  config.trace.jit = true;
   core::System system(config);
   ASSERT_TRUE(system.Load(build.image).ok());
   const kernel::RunResult result = system.Run();
@@ -223,7 +223,7 @@ TEST(JitStatsTest, ExportedJsonParsesWithSchemaAndTaxonomy) {
   core::SystemConfig config;
   config.variant = core::SystemVariant::kFullRoload;
   cpu::SetExecTier(&config.cpu, cpu::ExecTier::kTranslated);
-  config.cpu.jit_stats = true;
+  config.trace.jit = true;
   core::System system(config);
   ASSERT_TRUE(system.Load(build.image).ok());
   (void)system.Run();

@@ -146,6 +146,80 @@ TEST(TranslateTest, FlagOffNeverTranslates) {
   EXPECT_EQ(system.cpu().translator_stats().blocks_built, 0u);
 }
 
+// --- D-TLB LRU order under mixed D-TLB and D-cache memo traffic. -------
+//
+// One hot block loads from pages 0, 1 and 2 on every iteration; the page-1
+// load moves to a new line each time, so its D-cache memo misses between
+// D-TLB memo hits. The 32-entry D-TLB must then stamp page 2 newer than
+// page 1. After the loop, 31 fresh pages evict exactly two entries (pages
+// 0 and 1), and the final load from page 2 hits. A block executor that
+// stamps page 2 from a stale tick makes it look as old as page 0, evicts
+// it instead of page 1, and pays one more 60-cycle walk.
+constexpr char kDtlbLruGuest[] = R"(
+.section .text
+_start:
+  la s1, pages
+  li s0, 0
+  li s2, 0
+loop:
+  ld t0, 0(s1)
+  li t3, 4096
+  add t4, s1, t3
+  add t4, t4, s2
+  ld t0, 0(t4)
+  li t3, 8192
+  add t5, s1, t3
+  ld t0, 0(t5)
+  addi s2, s2, 64
+  addi s0, s0, 1
+  li t6, 8
+  bne s0, t6, loop
+  li s3, 3
+fresh:
+  slli t0, s3, 12
+  add t0, s1, t0
+  ld t1, 0(t0)
+  addi s3, s3, 1
+  li t2, 34
+  bne s3, t2, fresh
+  li t0, 8192
+  add t0, s1, t0
+  ld t1, 0(t0)
+  li a0, 0
+  li a7, 93
+  ecall
+
+.section .data
+.balign 4096
+pages:
+  .zero 143360
+)";
+
+TEST(TranslateTest, DtlbLruOrderMatchesReferenceAcrossMemoMisses) {
+  core::SystemConfig reference_config;
+  cpu::SetExecTier(&reference_config.cpu, cpu::ExecTier::kInterp);
+  const testing::GuestRun reference =
+      testing::RunGuest(kDtlbLruGuest, reference_config);
+  ASSERT_EQ(reference.result.kind, kernel::ExitKind::kExited);
+
+  core::SystemConfig config;
+  cpu::SetExecTier(&config.cpu, cpu::ExecTier::kTranslated);
+  const testing::GuestRun translated =
+      testing::RunGuest(kDtlbLruGuest, config);
+  ASSERT_EQ(translated.result.kind, kernel::ExitKind::kExited);
+  ASSERT_GT(translated.system->cpu().translator_stats().ops_replayed, 0u);
+
+  const cpu::Cpu& want = reference.system->cpu();
+  const cpu::Cpu& got = translated.system->cpu();
+  EXPECT_EQ(want.stats().cycles, got.stats().cycles);
+  EXPECT_EQ(want.dtlb_stats().hits, got.dtlb_stats().hits);
+  EXPECT_EQ(want.dtlb_stats().misses, got.dtlb_stats().misses);
+  // 34 distinct data pages, each missed once: page 2's last load hits.
+  EXPECT_EQ(want.dtlb_stats().misses, 34u);
+  EXPECT_EQ(reference.system->trace().counters().Snapshot(),
+            translated.system->trace().counters().Snapshot());
+}
+
 // --- Deopt edge: the TLB-shootdown race. -------------------------------
 //
 // The same guest as the test_smp shootdown race: hart 1 warms a key-5
