@@ -1,17 +1,16 @@
-// Host throughput: simulated-MIPS of the simulator itself across the
-// three execute tiers — the reference interpreter (every host fast path
-// off: the seed simulator, so the `interp` column is a recorded
-// pre-change baseline, not an estimate), the PR 2 host fast paths
-// (decode cache, indexed TLB lookup, cache index math), and the
-// superblock translation tier (pre-decoded blocks entered through
-// guards, chained block-to-block; see docs/PERF.md).
+// Host throughput: simulated-MIPS of the simulator itself on the two
+// execute tiers — the reference interpreter (every host fast path off:
+// the seed simulator, so the `interp` column is a recorded pre-change
+// baseline, not an estimate) and the superblock translation tier
+// (pre-decoded blocks entered through guards, chained block-to-block,
+// with cold code on the host fast paths; see docs/PERF.md).
 //
-// The tiers claim to be invisible to the simulation: every tier pair is
-// checked for bit-identical cycles, instructions, exit code and the full
-// telemetry counter snapshot, and the bench exits nonzero on any
-// mismatch. Workloads are the Figure 3 C++ subset (base + VCall) and the
-// Figure 4 CINT2006 suite (ICall), i.e. the exact guest programs whose
-// tables the tiers must not perturb.
+// The tiers claim to be invisible to the simulation: the translated run
+// is checked against the reference for bit-identical cycles,
+// instructions, exit code and the full telemetry counter snapshot, and
+// the bench exits nonzero on any mismatch. Workloads are the Figure 3
+// C++ subset (base + VCall) and the Figure 4 CINT2006 suite (ICall),
+// i.e. the exact guest programs whose tables the tiers must not perturb.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -75,36 +74,36 @@ TimedRun RunImage(const asmtool::LinkImage& image, cpu::ExecTier tier,
   return result;
 }
 
-// Any divergence between the reference and an accelerated tier means a
+// Any divergence between the reference and the translated tier means a
 // host optimization leaked into the simulation — fail loudly, the figure
 // tables can no longer be trusted.
 bool CheckIdentical(const std::string& label, const TimedRun& ref,
-                    const TimedRun& fast) {
+                    const TimedRun& xlat) {
   bool ok = true;
-  if (ref.cycles != fast.cycles || ref.instructions != fast.instructions ||
-      ref.exit_code != fast.exit_code) {
+  if (ref.cycles != xlat.cycles || ref.instructions != xlat.instructions ||
+      ref.exit_code != xlat.exit_code) {
     std::fprintf(stderr,
                  "MISMATCH %s: cycles %llu/%llu instret %llu/%llu "
                  "exit %lld/%lld\n",
                  label.c_str(), static_cast<unsigned long long>(ref.cycles),
-                 static_cast<unsigned long long>(fast.cycles),
+                 static_cast<unsigned long long>(xlat.cycles),
                  static_cast<unsigned long long>(ref.instructions),
-                 static_cast<unsigned long long>(fast.instructions),
+                 static_cast<unsigned long long>(xlat.instructions),
                  static_cast<long long>(ref.exit_code),
-                 static_cast<long long>(fast.exit_code));
+                 static_cast<long long>(xlat.exit_code));
     ok = false;
   }
-  if (ref.counters != fast.counters) {
+  if (ref.counters != xlat.counters) {
     std::fprintf(stderr, "MISMATCH %s: counter snapshots differ\n",
                  label.c_str());
     for (std::size_t i = 0;
-         i < ref.counters.size() && i < fast.counters.size(); ++i) {
-      if (ref.counters[i] != fast.counters[i]) {
+         i < ref.counters.size() && i < xlat.counters.size(); ++i) {
+      if (ref.counters[i] != xlat.counters[i]) {
         std::fprintf(stderr, "  %s=%llu vs %s=%llu\n",
                      ref.counters[i].first.c_str(),
                      static_cast<unsigned long long>(ref.counters[i].second),
-                     fast.counters[i].first.c_str(),
-                     static_cast<unsigned long long>(fast.counters[i].second));
+                     xlat.counters[i].first.c_str(),
+                     static_cast<unsigned long long>(xlat.counters[i].second));
       }
     }
     ok = false;
@@ -114,28 +113,23 @@ bool CheckIdentical(const std::string& label, const TimedRun& ref,
 
 struct SuiteTotals {
   double interp_seconds = 0.0;
-  double fast_seconds = 0.0;
   double translated_seconds = 0.0;
   std::uint64_t instructions = 0;
 
   double InterpMips() const {
     return static_cast<double>(instructions) / 1e6 / interp_seconds;
   }
-  double FastMips() const {
-    return static_cast<double>(instructions) / 1e6 / fast_seconds;
-  }
   double TranslatedMips() const {
     return static_cast<double>(instructions) / 1e6 / translated_seconds;
   }
-  double FastSpeedup() const { return interp_seconds / fast_seconds; }
   double TranslatedSpeedup() const {
     return interp_seconds / translated_seconds;
   }
 };
 
-// One workload × one defense: build once, time all three tiers, verify
-// fast and translated against the reference, print one table row and
-// record the numbers.
+// One workload × one defense: build once, time both tiers, verify the
+// translated run against the reference, print one table row and record
+// the numbers.
 bool MeasureOne(trace::TelemetrySession* session, SuiteTotals* totals,
                 const workloads::WorkloadSpec& spec, core::Defense defense,
                 unsigned reps) {
@@ -151,22 +145,16 @@ bool MeasureOne(trace::TelemetrySession* session, SuiteTotals* totals,
   const std::string label =
       spec.name + "." + std::string(core::DefenseName(defense));
   const TimedRun ref = RunImage(build->image, cpu::ExecTier::kInterp, reps);
-  const TimedRun fast = RunImage(build->image, cpu::ExecTier::kFast, reps);
   const TimedRun xlat =
       RunImage(build->image, cpu::ExecTier::kTranslated, reps);
-  const bool identical = CheckIdentical(label + ".fast", ref, fast) &
-                         CheckIdentical(label + ".translated", ref, xlat);
-  const double fast_speedup =
-      fast.seconds > 0 ? ref.seconds / fast.seconds : 0.0;
+  const bool identical = CheckIdentical(label + ".translated", ref, xlat);
   const double xlat_speedup =
       xlat.seconds > 0 ? ref.seconds / xlat.seconds : 0.0;
-  std::printf("%-28s | %8.2f %8.2f %8.2f | %6.2fx %6.2fx %s\n",
-              label.c_str(), ref.Mips(), fast.Mips(), xlat.Mips(),
-              fast_speedup, xlat_speedup, identical ? "" : "MISMATCH");
+  std::printf("%-28s | %8.2f %8.2f | %6.2fx %s\n", label.c_str(),
+              ref.Mips(), xlat.Mips(), xlat_speedup,
+              identical ? "" : "MISMATCH");
   session->Record(label + ".baseline_mips", ref.Mips());
-  session->Record(label + ".optimized_mips", fast.Mips());
   session->Record(label + ".translated_mips", xlat.Mips());
-  session->Record(label + ".speedup", fast_speedup);
   session->Record(label + ".translated_speedup", xlat_speedup);
   // Deterministic simulation facts of the cell, host-independent: the
   // counter-exact keys the rperf sentinel gates on (the *_mips/speedup
@@ -174,17 +162,14 @@ bool MeasureOne(trace::TelemetrySession* session, SuiteTotals* totals,
   session->Record(label + ".cycles", ref.cycles);
   session->Record(label + ".instructions", ref.instructions);
   totals->interp_seconds += ref.seconds;
-  totals->fast_seconds += fast.seconds;
   totals->translated_seconds += xlat.seconds;
   totals->instructions += ref.instructions;
   return identical;
 }
 
 void PrintAggregate(const char* name, const SuiteTotals& totals) {
-  std::printf("%-28s | %8.2f %8.2f %8.2f | %6.2fx %6.2fx\n", name,
-              totals.InterpMips(), totals.FastMips(),
-              totals.TranslatedMips(), totals.FastSpeedup(),
-              totals.TranslatedSpeedup());
+  std::printf("%-28s | %8.2f %8.2f | %6.2fx\n", name, totals.InterpMips(),
+              totals.TranslatedMips(), totals.TranslatedSpeedup());
 }
 
 }  // namespace
@@ -194,9 +179,9 @@ int main() {
   const unsigned reps = bench::BenchRepeats(2);  // median-of-N per tier
   std::printf("Host throughput: simulated MIPS by execute tier "
               "(scale=%.2f, repeats=%u)\n\n", scale, reps);
-  std::printf("%-28s | %8s %8s %8s | %6s %6s\n", "workload.defense",
-              "interp", "fast", "xlat", "fast", "xlat");
-  bench::PrintRule(76);
+  std::printf("%-28s | %8s %8s | %6s\n", "workload.defense", "interp",
+              "xlat", "xlat");
+  bench::PrintRule(58);
 
   trace::TelemetrySession session("host_throughput");
   session.Record("scale", scale);
@@ -217,25 +202,19 @@ int main() {
         MeasureOne(&session, &fig4, spec, core::Defense::kICall, reps);
   }
 
-  bench::PrintRule(76);
+  bench::PrintRule(58);
   PrintAggregate("fig3 aggregate", fig3);
   PrintAggregate("fig4 aggregate", fig4);
   std::printf("\nbit-identical simulation across tiers: %s\n",
               all_identical ? "yes" : "NO");
 
   session.Record("fig3.baseline_mips", fig3.InterpMips());
-  session.Record("fig3.optimized_mips", fig3.FastMips());
   session.Record("fig3.translated_mips", fig3.TranslatedMips());
-  session.Record("fig3.speedup", fig3.FastSpeedup());
   session.Record("fig3.translated_speedup", fig3.TranslatedSpeedup());
   session.Record("fig4.baseline_mips", fig4.InterpMips());
-  session.Record("fig4.optimized_mips", fig4.FastMips());
   session.Record("fig4.translated_mips", fig4.TranslatedMips());
-  session.Record("fig4.speedup", fig4.FastSpeedup());
   session.Record("fig4.translated_speedup", fig4.TranslatedSpeedup());
   session.Record("bit_identical", std::uint64_t{all_identical ? 1u : 0u});
-  session.Record("required.fig3_speedup", 1.5);
-  session.Record("required.fig3_translated_speedup", 10.0);
   bench::WriteBenchJson(session);
   return all_identical ? 0 : 1;
 }

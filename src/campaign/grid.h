@@ -12,15 +12,15 @@
 //   variants          baseline | proc | full
 //   scale             positive workload-scale multiplier (overrides the
 //                     scale passed to ParseGrid)
-//   seed              nonzero: derive per-run workload seeds (see
+//   seed              nonzero: derive one seed per program (see
 //                     CampaignSpec::seed)
 //   max-instructions  per-run instruction budget
 //   harts             hart counts (e.g. "1,2,4"); cells with > 1 hart are
 //                     named "<...>/h<N>"
-//   exec              host execute tiers: interp | fast | translated
-//                     (e.g. "exec=interp,fast,translated" cross-checks
-//                     all three); any non-default axis appends "/<tier>"
-//                     to the run names. Tiers never change cycles or
+//   exec              host execute tiers: interp | translated (the
+//                     default; "exec=interp,translated" cross-checks
+//                     them); any non-default axis appends "/<tier>" to
+//                     the run names. Tiers never change cycles or
 //                     counters — only host speed.
 //   profile           0/1: attach the cycle-attribution profiler
 #pragma once

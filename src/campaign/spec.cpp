@@ -49,15 +49,15 @@ RunConfig ForDefense(core::Defense defense) {
 
 std::vector<RunSpec> Expand(const CampaignSpec& spec) {
   // Any non-default tier axis grows the "/<tier>" suffix on every cell,
-  // keeping same-grid tiers distinguishable while the default {kFast}
+  // keeping same-grid tiers distinguishable while the default tier alone
   // reproduces the historical names exactly.
-  const bool name_execs =
-      spec.execs.size() > 1 ||
-      (spec.execs.size() == 1 && spec.execs[0] != cpu::ExecTier::kFast);
+  const bool name_execs = spec.execs != CampaignSpec{}.execs;
   std::vector<RunSpec> runs;
   runs.reserve(spec.workloads.size() * spec.configs.size() *
                spec.variants.size() * spec.harts.size() * spec.execs.size());
-  for (const workloads::WorkloadSpec& workload : spec.workloads) {
+  for (std::size_t w = 0; w < spec.workloads.size(); ++w) {
+    workloads::WorkloadSpec workload = spec.workloads[w];
+    if (spec.seed != 0) workload.seed = DeriveSeed(spec.seed, w);
     for (const RunConfig& config : spec.configs) {
       for (core::SystemVariant variant : spec.variants) {
         for (unsigned harts : spec.harts) {
@@ -81,9 +81,6 @@ std::vector<RunSpec> Expand(const CampaignSpec& spec) {
             run.exec = exec;
             run.trace.profile = spec.profile;
             run.trace.jit = spec.jit;
-            if (spec.seed != 0) {
-              run.workload.seed = DeriveSeed(spec.seed, runs.size());
-            }
             runs.push_back(std::move(run));
           }
         }

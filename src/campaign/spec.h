@@ -52,11 +52,10 @@ struct RunSpec {
   // Hart count of the run's core::System; >= 2 appends "/h<N>" to the
   // run name.
   unsigned harts = 1;
-  // Host execute tier for the run. All three tiers retire bit-identical
-  // cycles and counters, so this axis only changes host speed — it exists
-  // so grids can cross-check the tiers against each other and so heavy
-  // sweeps can opt into translation.
-  cpu::ExecTier exec = cpu::ExecTier::kFast;
+  // Host execute tier for the run. Both tiers retire bit-identical cycles
+  // and counters, so this axis only changes host speed — it exists so
+  // grids can cross-check the translated tier against the interpreter.
+  cpu::ExecTier exec = cpu::ExecTier::kTranslated;
   trace::TraceConfig trace;
 };
 
@@ -80,15 +79,17 @@ struct CampaignSpec {
   // the single-hart path and every run name unchanged; entries >= 2 run
   // on an SMP machine and are named "<...>/h<N>".
   std::vector<unsigned> harts = {1};
-  // The execute-tier axis (innermost, below harts). The default {kFast}
-  // keeps every run on the fast-path tier with unchanged names; any other
-  // set appends "/<tier name>" to each run name so interp/fast/translated
-  // cells of the same cross-check grid stay distinguishable.
-  std::vector<cpu::ExecTier> execs = {cpu::ExecTier::kFast};
+  // The execute-tier axis (innermost, below harts). The default
+  // {kTranslated} keeps every run name unchanged; any other set appends
+  // "/<tier name>" to each run name so the interp and translated cells of
+  // one cross-check grid stay distinguishable.
+  std::vector<cpu::ExecTier> execs = {cpu::ExecTier::kTranslated};
   // 0 keeps each workload's own seed — the default, under which the
   // expanded grid reproduces the committed figure tables bit-identically.
-  // Nonzero derives a distinct per-run workload seed through
-  // support::DeriveSeed(seed, run_index) for decorrelated sweeps.
+  // Nonzero derives one seed per program for decorrelated sweeps:
+  // support::DeriveSeed(seed, i) for the i-th entry of `workloads`, so
+  // every config, variant, hart count and tier of that entry runs the
+  // same program.
   std::uint64_t seed = 0;
 };
 

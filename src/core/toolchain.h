@@ -108,15 +108,15 @@ struct RunMetrics {
 // and collects RunMetrics. The execution half of CompileAndRun, split out
 // so callers holding a BuildResult (the campaign executor, build-only
 // sweeps that later decide to run) do not pay a second build. `exec` picks
-// the host execute tier (reference interpreter / fast paths / translation)
-// — all three are bit-identical in cycles and counters, only host speed
-// differs. With several harts the counters carry the per-hart "hart<N>.*"
-// namespaces plus the fleet aggregates, and cycles are the parallel
-// wall-clock (the maximum over harts).
+// the host execute tier (reference interpreter / translation) — both are
+// bit-identical in cycles and counters, only host speed differs. With
+// several harts the counters carry the per-hart "hart<N>.*" namespaces
+// plus the fleet aggregates, and cycles are the parallel wall-clock (the
+// maximum over harts).
 StatusOr<RunMetrics> RunBuild(const BuildResult& build, SystemVariant variant,
                               std::uint64_t max_instructions = 1ull << 34,
                               const trace::TraceConfig& trace = {},
-                              cpu::ExecTier exec = cpu::ExecTier::kFast,
+                              cpu::ExecTier exec = cpu::ExecTier::kTranslated,
                               unsigned harts = 1);
 
 // Builds `module` under `defense` and runs it on a fresh system of

@@ -232,7 +232,7 @@ void SetHostFastPaths(CpuConfig* config, bool enabled) {
 }
 
 void SetExecTier(CpuConfig* config, ExecTier tier) {
-  SetHostFastPaths(config, tier != ExecTier::kInterp);
+  SetHostFastPaths(config, tier == ExecTier::kTranslated);
   config->host_translate = tier == ExecTier::kTranslated;
 }
 
@@ -240,8 +240,6 @@ std::string_view ExecTierName(ExecTier tier) {
   switch (tier) {
     case ExecTier::kInterp:
       return "interp";
-    case ExecTier::kFast:
-      return "fast";
     case ExecTier::kTranslated:
       return "translated";
   }
@@ -250,7 +248,6 @@ std::string_view ExecTierName(ExecTier tier) {
 
 std::optional<ExecTier> ParseExecTier(std::string_view name) {
   if (name == "interp") return ExecTier::kInterp;
-  if (name == "fast") return ExecTier::kFast;
   if (name == "translated") return ExecTier::kTranslated;
   return std::nullopt;
 }
@@ -843,9 +840,10 @@ bool Cpu::BlockGuardsPass(TranslatedBlock* block) {
 //
 //   * fetch side — every replayed op is one I-TLB hit plus one I-cache
 //     hit, and nothing inside the run touches either structure (data
-//     accesses go to the D-side, traps/ecalls end the run): stamp each
-//     line's final LRU tick in the loop, commit counts/hints once at the
-//     end;
+//     accesses go to the D-side, traps/ecalls end the run; pinned by
+//     TranslateTest.FetchBatchMatchesReferenceAroundGenericOps): stamp
+//     each line's final LRU tick in the loop, commit counts/hints once at
+//     the end;
 //   * retire side — each fast op costs (fetch_cycles + 1) cycles plus
 //     per-op extras (mul/div latency, taken branches, D-TLB walk and
 //     D-cache miss cycles) and retires one instruction; the sums land in

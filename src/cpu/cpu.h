@@ -44,11 +44,10 @@ struct CpuConfig {
   // Host-only translation tier (src/cpu/translate.h): pre-decode hot
   // superblocks into replayable micro-op form and execute them under
   // TLB/I-cache/code-version guards, deopting to the interpreter on any
-  // guard miss. Only Run() uses blocks; Step() always interprets. Off by
-  // default. Off reproduces the seed simulator bit-identically; on is
-  // bit-identical too (the differential suite in tests/test_translate.cpp
-  // pins it).
-  bool host_translate = false;
+  // guard miss. Only Run() uses blocks; Step() always interprets. On by
+  // default; on and off are bit-identical (the differential suite in
+  // tests/test_translate.cpp pins it).
+  bool host_translate = true;
   // Visits of one pc before a block is built there (1 = translate eagerly;
   // tests use 1 to force building on short fixtures). 2 is the sweet spot:
   // building a block costs about as much as interpreting its ops once, so
@@ -58,25 +57,23 @@ struct CpuConfig {
   unsigned translate_threshold = 2;
 };
 
-// The three execute tiers, in increasing host speed: the reference
-// interpreter (every host fast path off), the host fast paths (decode
-// cache, indexed TLB, cache shift math — the default), and the
-// translation tier on top of the fast paths. All three share one
+// The two execute tiers: the reference interpreter (every host fast path
+// off) and the translation tier (the default config), which runs hot code
+// as blocks and everything else through Step() on the host fast paths
+// (decode cache, indexed TLB, cache shift math). Both share one
 // definition of each instruction (ALU, branch conditions, guest memory
 // access) and are bit-identical in cycles and every architectural
 // counter; only host speed differs.
 enum class ExecTier : std::uint8_t {
   kInterp,
-  kFast,
   kTranslated,
 };
 
-// Applies a tier to a config: kInterp disables every host fast path,
-// kFast enables them (the default config), kTranslated additionally turns
-// on the block translator.
+// Applies a tier to a config: kInterp disables every host fast path and
+// the block translator, kTranslated enables them all (the default config).
 void SetExecTier(CpuConfig* config, ExecTier tier);
 std::string_view ExecTierName(ExecTier tier);
-// Parses "interp"/"fast"/"translated"; nullopt on anything else.
+// Parses "interp"/"translated"; nullopt on anything else.
 std::optional<ExecTier> ParseExecTier(std::string_view name);
 
 // Toggles every host-only fast path in one call: the decode cache, the

@@ -17,9 +17,9 @@ using Machine = core::System;
 inline StatusOr<core::RunMetrics> RunBuildSmp(
     const core::BuildResult& build, core::SystemVariant variant,
     unsigned harts, std::uint64_t max_instructions = 1ull << 34,
-    const trace::TraceConfig& trace = {},
-    cpu::ExecTier exec = cpu::ExecTier::kFast) {
-  return core::RunBuild(build, variant, max_instructions, trace, exec, harts);
+    const trace::TraceConfig& trace = {}) {
+  return core::RunBuild(build, variant, max_instructions, trace,
+                        cpu::ExecTier::kTranslated, harts);
 }
 
 }  // namespace roload::smp

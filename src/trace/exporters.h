@@ -21,7 +21,7 @@ namespace roload::trace {
 struct HostRunStats {
   double wall_seconds = 0.0;
   double simulated_mips = 0.0;
-  std::string exec_tier;  // "interp" | "fast" | "translated"
+  std::string exec_tier;  // "interp" | "translated"
 };
 
 // {"schema":"roload.counters.v1","counters":{name:value,...}} with names

@@ -7,6 +7,7 @@
 
 #include "asmtool/assembler.h"
 #include "core/system.h"
+#include "core/toolchain.h"
 
 namespace roload::testing {
 
@@ -41,6 +42,37 @@ inline GuestRun RunGuest(
   core::SystemConfig config;
   config.variant = variant;
   return RunGuest(source, config, max_instructions);
+}
+
+// The configuration the translated tier runs its cold code through (via
+// Step()): every host fast path on, the block translator off. Tests run
+// it beside the two execute tiers, kInterp and kTranslated.
+inline core::SystemConfig ColdPathConfig(unsigned harts = 1) {
+  core::SystemConfig config;
+  config.harts = harts;
+  cpu::SetHostFastPaths(&config.cpu, true);
+  config.cpu.host_translate = false;
+  return config;
+}
+
+// Runs a built image to completion on a fresh system of `config` and
+// collects the RunMetrics fields that core::RunBuild fills from the run
+// and the counter registry.
+inline core::RunMetrics RunImage(const asmtool::LinkImage& image,
+                                 const core::SystemConfig& config) {
+  core::RunMetrics metrics;
+  core::System system(config);
+  const Status status = system.Load(image);
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  if (!status.ok()) return metrics;
+  const kernel::RunResult run = system.Run(1ull << 34);
+  metrics.cycles = run.cycles;
+  metrics.instructions = run.instructions;
+  metrics.peak_mem_kib = run.peak_mem_kib;
+  metrics.exit_code = run.exit_code;
+  metrics.completed = run.kind == kernel::ExitKind::kExited;
+  metrics.counters = system.trace().counters().Snapshot();
+  return metrics;
 }
 
 // Shorthand: run and expect a clean exit with `expected_code`.

@@ -78,13 +78,20 @@ TEST(CampaignSpecTest, ZeroSeedKeepsWorkloadSeeds) {
 }
 
 TEST(CampaignSpecTest, NonzeroSeedDerivesDistinctPerRunSeeds) {
+  // The seed is per program: every run of the i-th workload entry gets
+  // DeriveSeed(seed, i), whatever its config, and runs of different
+  // entries get different seeds.
   campaign::CampaignSpec spec = TinyCppGrid();
   spec.seed = 1234;
   const auto runs = campaign::Expand(spec);
+  const std::size_t runs_per_workload = spec.configs.size();
+  ASSERT_EQ(runs.size(), spec.workloads.size() * runs_per_workload);
   for (std::size_t i = 0; i < runs.size(); ++i) {
-    EXPECT_EQ(runs[i].workload.seed, DeriveSeed(1234, i));
+    EXPECT_EQ(runs[i].workload.seed, DeriveSeed(1234, i / runs_per_workload));
     for (std::size_t j = i + 1; j < runs.size(); ++j) {
-      EXPECT_NE(runs[i].workload.seed, runs[j].workload.seed);
+      if (runs[i].workload.name != runs[j].workload.name) {
+        EXPECT_NE(runs[i].workload.seed, runs[j].workload.seed);
+      }
     }
   }
 }
@@ -241,6 +248,7 @@ TEST(CampaignGridTest, RejectsUnknownTokens) {
   EXPECT_FALSE(campaign::ParseGrid("variants=quantum", 0.5, &spec).ok());
   EXPECT_FALSE(campaign::ParseGrid("scale=fast", 0.5, &spec).ok());
   EXPECT_FALSE(campaign::ParseGrid("seed=x", 0.5, &spec).ok());
+  EXPECT_FALSE(campaign::ParseGrid("exec=fast", 0.5, &spec).ok());
   EXPECT_FALSE(campaign::ParseGrid("notkeyvalue", 0.5, &spec).ok());
 }
 
@@ -329,19 +337,19 @@ TEST(CampaignRunnerTest, SmpGridIsBitIdenticalAcrossJobCounts) {
 }
 
 TEST(CampaignRunnerTest, TranslatedGridIsBitIdenticalAcrossJobCounts) {
-  // The jobs-1-vs-N differential over a grid whose cells span all three
-  // execute tiers: host parallelism must not perturb any tier, and within
-  // one serial run the tiers must agree with each other cell-for-cell.
+  // The jobs-1-vs-N differential over a grid whose cells span both
+  // execute tiers: host parallelism must not perturb either tier, and
+  // within one serial run the tiers must agree with each other
+  // cell-for-cell.
   campaign::CampaignSpec spec;
   spec.name = "translated";
   spec.workloads = {workloads::SpecCppSubset(0.05)[0]};
   spec.configs = {campaign::ForDefense(core::Defense::kVCall),
                   campaign::ForDefense(core::Defense::kICall)};
-  spec.execs = {cpu::ExecTier::kInterp, cpu::ExecTier::kFast,
-                cpu::ExecTier::kTranslated};
+  spec.execs = {cpu::ExecTier::kInterp, cpu::ExecTier::kTranslated};
   const campaign::CampaignResult serial = campaign::Run(spec, {.jobs = 1});
   const campaign::CampaignResult parallel = campaign::Run(spec, {.jobs = 4});
-  ASSERT_EQ(serial.outcomes().size(), 6u);
+  ASSERT_EQ(serial.outcomes().size(), 4u);
   ASSERT_TRUE(serial.all_ok());
   ASSERT_TRUE(parallel.all_ok());
   for (std::size_t i = 0; i < serial.outcomes().size(); ++i) {
@@ -354,16 +362,37 @@ TEST(CampaignRunnerTest, TranslatedGridIsBitIdenticalAcrossJobCounts) {
     EXPECT_EQ(a.metrics.counters, b.metrics.counters);
   }
   // Cross-tier identity inside the serial run: cells are expanded with
-  // the exec axis innermost, so tiers of one (workload, defense) cell are
-  // adjacent triples.
-  for (std::size_t cell = 0; cell < serial.outcomes().size(); cell += 3) {
+  // the exec axis innermost, so the tiers of one (workload, defense) cell
+  // are adjacent pairs.
+  for (std::size_t cell = 0; cell < serial.outcomes().size(); cell += 2) {
     const auto& interp = serial.outcomes()[cell];
-    for (std::size_t tier = 1; tier < 3; ++tier) {
-      const auto& other = serial.outcomes()[cell + tier];
-      EXPECT_EQ(interp.metrics.cycles, other.metrics.cycles) << other.name;
-      EXPECT_EQ(interp.metrics.counters, other.metrics.counters)
-          << other.name;
-    }
+    const auto& translated = serial.outcomes()[cell + 1];
+    EXPECT_EQ(interp.metrics.cycles, translated.metrics.cycles)
+        << translated.name;
+    EXPECT_EQ(interp.metrics.counters, translated.metrics.counters)
+        << translated.name;
+  }
+}
+
+TEST(CampaignRunnerTest, SeededGridRunsOneProgramOnEveryTier) {
+  // A seeded grid derives its seed per program, so the interp and
+  // translated runs of one cell run the same program and must agree.
+  campaign::CampaignSpec spec;
+  ASSERT_TRUE(campaign::ParseGrid("workloads=401.bzip2_like,471.omnetpp_like;"
+                                  "defenses=none,ICall;scale=0.05;seed=1;"
+                                  "exec=interp,translated",
+                                  1.0, &spec)
+                  .ok());
+  const campaign::CampaignResult result = campaign::Run(spec, {.jobs = 2});
+  ASSERT_EQ(result.outcomes().size(), 8u);
+  ASSERT_TRUE(result.all_ok());
+  for (std::size_t cell = 0; cell < result.outcomes().size(); cell += 2) {
+    const auto& interp = result.outcomes()[cell];
+    const auto& translated = result.outcomes()[cell + 1];
+    EXPECT_EQ(interp.metrics.cycles, translated.metrics.cycles)
+        << translated.name;
+    EXPECT_EQ(interp.metrics.instructions, translated.metrics.instructions)
+        << translated.name;
   }
 }
 

@@ -1,10 +1,11 @@
 // CPU execution tests: ALU and division semantics validated against
-// host-computed golden values on all three execute tiers (parameterized
-// property sweeps), load/store widths and
+// host-computed golden values on both execute tiers and the translated
+// tier's cold path (parameterized property sweeps), load/store widths and
 // sign extension, control flow, M-extension edge cases, trap behaviour,
 // and the ld.ro execution paths on all system variants.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -24,19 +25,25 @@ std::string ExitWith(const std::string& body) {
 }
 
 // ---------------------------------------------------------------------------
-// Every test in this section runs on all three execute tiers.
-constexpr cpu::ExecTier kAllTiers[] = {cpu::ExecTier::kInterp,
-                                       cpu::ExecTier::kFast,
-                                       cpu::ExecTier::kTranslated};
+// Every test in this section runs on both execute tiers and on the
+// translated tier's cold path (host fast paths, no blocks), which has no
+// tier name of its own: std::nullopt stands for it.
+using Tier = std::optional<cpu::ExecTier>;
+constexpr Tier kAllTiers[] = {cpu::ExecTier::kInterp, std::nullopt,
+                              cpu::ExecTier::kTranslated};
+
+std::string TierName(Tier tier) {
+  return tier ? std::string(cpu::ExecTierName(*tier)) : "cold-path";
+}
 
 // Runs `body` (which leaves its result in a0) three times in a loop on
 // `tier` and returns the guest's exit code, or -1 when it did not exit
 // cleanly. The translated tier builds a block on a pc's first visit, so
 // the later passes run the body inside blocks; the check on ops_replayed
 // proves that they did.
-std::int64_t ExitCodeOnTier(const std::string& body, cpu::ExecTier tier) {
-  core::SystemConfig config;
-  cpu::SetExecTier(&config.cpu, tier);
+std::int64_t ExitCodeOnTier(const std::string& body, Tier tier) {
+  core::SystemConfig config = testing::ColdPathConfig();
+  if (tier) cpu::SetExecTier(&config.cpu, *tier);
   config.cpu.translate_threshold = 1;
   const auto run = RunGuest(
       ExitWith("  li s0, 3\npass:\n" + body +
@@ -153,18 +160,16 @@ const AluCase kAluCases[] = {
      }},
 };
 
-// One ALU case on one execute tier. The default (fast) tier keeps the
-// bare op name; the other tiers append theirs.
+// One ALU case on one execute tier. The cold path keeps the bare op name;
+// the named tiers append theirs.
 struct AluTierCase {
   AluCase alu;
-  cpu::ExecTier tier;
+  Tier tier;
 };
 
 std::string AluTierName(const AluTierCase& test_case) {
   std::string name = test_case.alu.mnemonic;
-  if (test_case.tier != cpu::ExecTier::kFast) {
-    name += "_" + std::string(cpu::ExecTierName(test_case.tier));
-  }
+  if (test_case.tier) name += "_" + TierName(test_case.tier);
   return name;
 }
 
@@ -176,7 +181,7 @@ void PrintTo(const AluTierCase& test_case, std::ostream* os) {
 
 std::vector<AluTierCase> AluTierCases() {
   std::vector<AluTierCase> cases;
-  for (const cpu::ExecTier tier : kAllTiers) {
+  for (const Tier tier : kAllTiers) {
     for (const AluCase& alu : kAluCases) cases.push_back({alu, tier});
   }
   return cases;
@@ -236,8 +241,8 @@ INSTANTIATE_TEST_SUITE_P(AllOps, AluGoldenTest,
 // ---------------------------------------------------------------------------
 // Division edge cases (RISC-V defines them, no traps).
 TEST(CpuDivTest, DivideByZero) {
-  for (const cpu::ExecTier tier : kAllTiers) {
-    SCOPED_TRACE("tier " + std::string(cpu::ExecTierName(tier)));
+  for (const Tier tier : kAllTiers) {
+    SCOPED_TRACE("tier " + TierName(tier));
     EXPECT_EQ(ExitCodeOnTier("  li t0, 42\n  li t1, 0\n  div t2, t0, t1\n"
                              "  andi a0, t2, 63\n",
                              tier),
@@ -260,8 +265,8 @@ TEST(CpuDivTest, DivideByZero) {
 TEST(CpuDivTest, SignedOverflow) {
   // INT64_MIN / -1 = INT64_MIN; INT64_MIN % -1 = 0. Build INT64_MIN as
   // 1 << 63.
-  for (const cpu::ExecTier tier : kAllTiers) {
-    SCOPED_TRACE("tier " + std::string(cpu::ExecTierName(tier)));
+  for (const Tier tier : kAllTiers) {
+    SCOPED_TRACE("tier " + TierName(tier));
     EXPECT_EQ(ExitCodeOnTier("  li t0, 1\n  slli t0, t0, 63\n  li t1, -1\n"
                              "  div t2, t0, t1\n  srli a0, t2, 58\n",
                              tier),

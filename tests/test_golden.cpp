@@ -17,6 +17,7 @@
 #include "core/toolchain.h"
 #include "sec/attack.h"
 #include "support/strings.h"
+#include "tests/guest_util.h"
 #include "workloads/spec_like.h"
 
 namespace roload {
@@ -59,10 +60,7 @@ core::BuildResult MustBuild(const workloads::WorkloadSpec& spec,
 }
 
 core::RunMetrics MustRun(const core::BuildResult& build, unsigned harts) {
-  auto metrics = core::RunBuild(build, core::SystemVariant::kFullRoload,
-                                1ull << 34, {}, cpu::ExecTier::kFast, harts);
-  EXPECT_TRUE(metrics.ok()) << metrics.status().ToString();
-  return std::move(*metrics);
+  return testing::RunImage(build.image, testing::ColdPathConfig(harts));
 }
 
 void ExpectRows(const std::vector<std::string>& actual,

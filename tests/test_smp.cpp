@@ -12,6 +12,7 @@
 #include "core/system.h"
 #include "core/toolchain.h"
 #include "sec/attack.h"
+#include "tests/guest_util.h"
 #include "workloads/spec_like.h"
 
 namespace roload::core {
@@ -26,10 +27,8 @@ core::BuildResult BuildWorkload(const workloads::WorkloadSpec& spec,
   return std::move(*build);
 }
 
-StatusOr<core::RunMetrics> RunOnHarts(const core::BuildResult& build,
-                                      unsigned harts) {
-  return core::RunBuild(build, core::SystemVariant::kFullRoload, 1ull << 34,
-                        {}, cpu::ExecTier::kFast, harts);
+core::RunMetrics RunOnHarts(const core::BuildResult& build, unsigned harts) {
+  return testing::RunImage(build.image, testing::ColdPathConfig(harts));
 }
 
 // --- RPC-server scaling and scheduler determinism. ---------------------
@@ -40,19 +39,18 @@ TEST(SmpRpcScalingTest, MoreHartsReduceWallClockCycles) {
   const auto one = RunOnHarts(build, 1);
   const auto two = RunOnHarts(build, 2);
   const auto four = RunOnHarts(build, 4);
-  ASSERT_TRUE(one.ok() && two.ok() && four.ok());
-  EXPECT_TRUE(one->completed);
-  EXPECT_TRUE(two->completed);
-  EXPECT_TRUE(four->completed);
+  EXPECT_TRUE(one.completed);
+  EXPECT_TRUE(two.completed);
+  EXPECT_TRUE(four.completed);
   // Requests are strided across harts: wall-clock (max cycles over harts)
   // must drop going 1 -> 2, and 4 harts must not be slower than 2.
-  EXPECT_LT(two->cycles, one->cycles);
-  EXPECT_LE(four->cycles, two->cycles);
+  EXPECT_LT(two.cycles, one.cycles);
+  EXPECT_LE(four.cycles, two.cycles);
   // The merged counters keep the historical names as fleet-wide sums.
-  EXPECT_EQ(two->Counter("smp.harts"), 2u);
-  EXPECT_GT(two->Counter("cpu.roload_loads"), 0u);
-  EXPECT_GT(two->Counter("hart1.cpu.instret"), 0u);
-  EXPECT_GT(two->Counter("cache.l2.hit") + two->Counter("cache.l2.miss"),
+  EXPECT_EQ(two.Counter("smp.harts"), 2u);
+  EXPECT_GT(two.Counter("cpu.roload_loads"), 0u);
+  EXPECT_GT(two.Counter("hart1.cpu.instret"), 0u);
+  EXPECT_GT(two.Counter("cache.l2.hit") + two.Counter("cache.l2.miss"),
             0u);
 }
 
@@ -65,10 +63,9 @@ TEST(SmpCounterTest, AggregatesPartitionIntoPerHartCounters) {
       BuildWorkload(workloads::RpcServerWorkload(200), core::Defense::kICall);
   for (const unsigned harts : {2u, 4u}) {
     const auto metrics = RunOnHarts(build, harts);
-    ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
     std::map<std::string, std::uint64_t> aggregates;
     std::map<std::string, std::uint64_t> hart_sums;
-    for (const auto& [name, value] : metrics->counters) {
+    for (const auto& [name, value] : metrics.counters) {
       if (name.rfind("hart", 0) == 0) {
         const std::size_t dot = name.find('.');
         ASSERT_NE(dot, std::string::npos) << name;
@@ -89,11 +86,10 @@ TEST(SmpRpcScalingTest, InterleavingIsDeterministic) {
       BuildWorkload(workloads::RpcServerWorkload(300), core::Defense::kVCall);
   const auto a = RunOnHarts(build, 2);
   const auto b = RunOnHarts(build, 2);
-  ASSERT_TRUE(a.ok() && b.ok());
-  EXPECT_EQ(a->cycles, b->cycles);
-  EXPECT_EQ(a->instructions, b->instructions);
-  EXPECT_EQ(a->exit_code, b->exit_code);
-  EXPECT_EQ(a->counters, b->counters);
+  EXPECT_EQ(a.cycles, b.cycles);
+  EXPECT_EQ(a.instructions, b.instructions);
+  EXPECT_EQ(a.exit_code, b.exit_code);
+  EXPECT_EQ(a.counters, b.counters);
 }
 
 // --- The TLB-shootdown race. -------------------------------------------

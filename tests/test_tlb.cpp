@@ -299,7 +299,9 @@ void RunIndexedLookupDifferential(TlbConfig config, std::uint64_t seed) {
     ASSERT_EQ(a.ok, b.ok) << "access " << i;
     ASSERT_EQ(a.phys_addr, b.phys_addr) << "access " << i;
     ASSERT_EQ(a.cycles, b.cycles) << "access " << i;
-    if (!a.ok) ASSERT_EQ(a.cause, b.cause) << "access " << i;
+    if (!a.ok) {
+      ASSERT_EQ(a.cause, b.cause) << "access " << i;
+    }
     if (rng.NextPercent(1)) {
       fast.Flush();
       ref.Flush();

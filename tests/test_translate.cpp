@@ -16,6 +16,7 @@
 #include "asmtool/assembler.h"
 #include "core/system.h"
 #include "core/toolchain.h"
+#include "support/strings.h"
 #include "tests/guest_util.h"
 #include "workloads/spec_like.h"
 
@@ -136,10 +137,7 @@ TEST(TranslateTest, TranslatorBuildsChainsAndReplaysOnHotCode) {
 TEST(TranslateTest, FlagOffNeverTranslates) {
   const auto build =
       BuildWorkload(workloads::SpecCppSubset(0.04)[0], core::Defense::kNone);
-  core::SystemConfig config;
-  config.variant = core::SystemVariant::kFullRoload;
-  cpu::SetExecTier(&config.cpu, cpu::ExecTier::kFast);
-  core::System system(config);
+  core::System system(testing::ColdPathConfig());
   ASSERT_TRUE(system.Load(build.image).ok());
   (void)system.Run();
   EXPECT_FALSE(system.cpu().translation_enabled());
@@ -216,6 +214,119 @@ TEST(TranslateTest, DtlbLruOrderMatchesReferenceAcrossMemoMisses) {
   EXPECT_EQ(want.dtlb_stats().misses, got.dtlb_stats().misses);
   // 34 distinct data pages, each missed once: page 2's last load hits.
   EXPECT_EQ(want.dtlb_stats().misses, 34u);
+  EXPECT_EQ(reference.system->trace().counters().Snapshot(),
+            translated.system->trace().counters().Snapshot());
+}
+
+// --- The fetch-side batch around generic micro-ops. --------------------
+//
+// A block run replays its fetches as one batch: each I-cache line's final
+// LRU tick is stamped while the run executes, and the hit counts, the
+// I-TLB stamp and the fetch hints are committed once at the end. That is
+// exact only while nothing inside the run touches the I-TLB or I-cache.
+// The hot loop's first block holds both kinds of generic micro-op: an
+// ld.ro (the kRoLoad event category is live, so it takes the reference
+// path) on its first line, and an ecall (brk) as the last op of its
+// second line. The machine has one 4-way set of 64-byte I-cache lines and
+// a 4-entry I-TLB, while the guest spans five code pages and up to nine
+// lines per iteration (cold callees of 1, 2, 3 and 5 lines, each on its
+// own page), so LRU order decides every I-side eviction. A generic op
+// that fetched through the I-cache inside the batch would double-count a
+// hit or leave its line with a stale stamp, and the hits, misses and
+// cycles below would differ from the interpreter's. (An in-batch I-TLB
+// hit on the block's own page would leave no trace: the batch's final
+// stamp lands on that same entry.)
+std::string Repeat(const std::string& line, unsigned times) {
+  std::string out;
+  for (unsigned i = 0; i < times; ++i) out += line;
+  return out;
+}
+
+std::string FetchPressureGuest() {
+  const std::string pad = "  addi t0, t0, 1\n";
+  // The loop head starts a line; the ld.ro is op 8 of 16 on the first
+  // line and the ecall is op 16 of 16 on the second.
+  std::string guest = R"(
+.section .text
+_start:
+  li s0, 0
+  la s1, table
+  j loop
+.balign 64
+loop:
+)";
+  guest += Repeat(pad, 7) + "  ld.ro t1, (s1), 5\n  add t4, t4, t1\n";
+  guest += Repeat(pad, 20) + "  li a0, 0\n  li a7, 214\n  ecall\n";
+  guest += R"(  andi t2, s0, 3
+  beqz t2, call0
+  addi t2, t2, -1
+  beqz t2, call1
+  addi t2, t2, -1
+  beqz t2, call2
+  call f3
+  j next
+call0:
+  call f0
+  j next
+call1:
+  call f1
+  j next
+call2:
+  call f2
+next:
+  addi s0, s0, 1
+  li t3, 40
+  bne s0, t3, loop
+  andi a0, t4, 63
+  li a7, 93
+  ecall
+
+.section .rodata.key.5
+table:
+  .quad 3
+)";
+  const unsigned callee_lines[] = {1, 2, 3, 5};
+  for (unsigned k = 0; k < 4; ++k) {
+    guest += StrFormat(".section .text.f%u\nf%u:\n", k, k) +
+             Repeat(pad, 16 * callee_lines[k] - 1) + "  ret\n";
+  }
+  return guest;
+}
+
+core::SystemConfig FetchPressureConfig(cpu::ExecTier tier) {
+  core::SystemConfig config;
+  cpu::SetExecTier(&config.cpu, tier);
+  config.cpu.icache.size_bytes = 256;  // one set of four 64-byte lines
+  config.cpu.icache.ways = 4;
+  config.cpu.itlb.entries = 4;
+  config.cpu.itlb.ways = 4;
+  config.trace.categories =
+      trace::CategoryBit(trace::EventCategory::kRoLoad);
+  return config;
+}
+
+TEST(TranslateTest, FetchBatchMatchesReferenceAroundGenericOps) {
+  const std::string guest = FetchPressureGuest();
+  const testing::GuestRun reference = testing::RunGuest(
+      guest, FetchPressureConfig(cpu::ExecTier::kInterp));
+  ASSERT_EQ(reference.result.kind, kernel::ExitKind::kExited);
+  const testing::GuestRun translated = testing::RunGuest(
+      guest, FetchPressureConfig(cpu::ExecTier::kTranslated));
+  ASSERT_EQ(translated.result.kind, kernel::ExitKind::kExited);
+
+  const cpu::Cpu& want = reference.system->cpu();
+  const cpu::Cpu& got = translated.system->cpu();
+  // Not vacuous: blocks ran, and both I-side structures evicted.
+  EXPECT_GT(got.translator_stats().ops_replayed,
+            want.stats().instructions / 4);
+  EXPECT_GT(want.icache_stats().misses, 40u);
+  EXPECT_GT(want.itlb_stats().misses, 6u);
+
+  EXPECT_EQ(want.itlb_stats().hits, got.itlb_stats().hits);
+  EXPECT_EQ(want.itlb_stats().misses, got.itlb_stats().misses);
+  EXPECT_EQ(want.icache_stats().hits, got.icache_stats().hits);
+  EXPECT_EQ(want.icache_stats().misses, got.icache_stats().misses);
+  EXPECT_EQ(want.stats().cycles, got.stats().cycles);
   EXPECT_EQ(reference.system->trace().counters().Snapshot(),
             translated.system->trace().counters().Snapshot());
 }

@@ -1049,8 +1049,9 @@ TEST(GadgetScanTest, CommittedCleanSuiteCensusIsCurrent) {
   // Aggregated gadget stats over the compressed ICall suite, pinned as
   // a committed artifact so attack-surface drift shows up in review.
   // Regenerate with:
-  //   ROLOAD_REGEN_GADGETS=1 ./roload_tests \
+  //   ROLOAD_REGEN_GADGETS=1 ./roload_tests
   //     --gtest_filter='*CommittedCleanSuiteCensusIsCurrent*'
+  // (one command line).
   const auto emit_stats = [](JsonWriter* json, const GadgetStats& s) {
     json->BeginObject();
     json->KV("gadgets", s.gadgets);
@@ -1132,9 +1133,15 @@ _start:
 table: .quad 0
 )";
 
+core::SystemConfig VariantConfig(core::SystemVariant variant) {
+  core::SystemConfig config;
+  config.variant = variant;
+  return config;
+}
+
 TEST(LoaderVerifyTest, RoloadAwareKernelPassesCrossCheck) {
   const asmtool::LinkImage image = MustAssemble(kKeyedGuest);
-  core::System system({.variant = core::SystemVariant::kFullRoload});
+  core::System system(VariantConfig(core::SystemVariant::kFullRoload));
   ASSERT_TRUE(system.Load(image).ok());
   const Report report = core::VerifyLoadedImage(system.kernel(), image);
   EXPECT_TRUE(report.ok()) << report.ToText();
@@ -1146,7 +1153,7 @@ TEST(LoaderVerifyTest, RoloadUnawareKernelIsFlagged) {
   // nothing about section keys and maps everything with key 0 — exactly
   // the deployment mistake rule 29 exists to catch.
   const asmtool::LinkImage image = MustAssemble(kKeyedGuest);
-  core::System system({.variant = core::SystemVariant::kProcessorModified});
+  core::System system(VariantConfig(core::SystemVariant::kProcessorModified));
   ASSERT_TRUE(system.Load(image).ok());
   const Report report = core::VerifyLoadedImage(system.kernel(), image);
   ASSERT_FALSE(report.ok());
@@ -1159,7 +1166,7 @@ TEST(LoaderVerifyTest, RemappedWritableAllowlistIsFlagged) {
   // Sabotage after a clean load: mprotect the allowlist page writable
   // (key dropped to 0). Both defects must be reported.
   const asmtool::LinkImage image = MustAssemble(kKeyedGuest);
-  core::System system({.variant = core::SystemVariant::kFullRoload});
+  core::System system(VariantConfig(core::SystemVariant::kFullRoload));
   ASSERT_TRUE(system.Load(image).ok());
   std::uint64_t table_vaddr = 0;
   for (const auto& section : image.sections) {
@@ -1178,7 +1185,7 @@ TEST(LoaderVerifyTest, RemappedWritableAllowlistIsFlagged) {
 
 TEST(LoaderVerifyTest, RequiresALoadedProcess) {
   const asmtool::LinkImage image = MustAssemble(kKeyedGuest);
-  core::System system({.variant = core::SystemVariant::kFullRoload});
+  core::System system(VariantConfig(core::SystemVariant::kFullRoload));
   const Report report = core::VerifyLoadedImage(system.kernel(), image);
   EXPECT_FALSE(report.ok());
   EXPECT_EQ(SmallestRuleId(report), RuleId(Rule::kLoaderKeyMismatch));

@@ -7,16 +7,16 @@ Every cell must have run on each of the named execute tiers, and its `ok`,
 `cycles` and `instructions` must agree across them. The runs of a cell may
 come from one grid with several `exec=` values or from separate grids of
 the same shape, one per tier. A grid with a nonzero `seed=` derives one
-seed per run, from the run's index, not one per program; so its tiers must
-be separate grids, or each tier runs a different program. Exits 1 on any
-mismatch or missing tier, or when the input holds no cell.
+seed per program (per workload entry), so all tiers of a cell run the
+same program, in one grid or in several. Exits 1 on any mismatch or
+missing tier, or when the input holds no cell.
 """
 import argparse
 import json
 import re
 import sys
 
-KEY = re.compile(r"run\.(.+)/(interp|fast|translated)\.(ok|cycles|instructions)")
+KEY = re.compile(r"run\.(.+)/(interp|translated)\.(ok|cycles|instructions)")
 
 
 def main():

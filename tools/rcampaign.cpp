@@ -14,8 +14,8 @@
 // --json     write the merged roload.campaign.v1 telemetry to FILE
 // --profile  attach the cycle-attribution profiler to every run
 // --jit      collect translation-tier telemetry ("jit.*" counters) on
-//            every run; pair with the exec=translated grid axis — other
-//            tiers report nothing
+//            every run; runs on the translated tier (the default) report
+//            them, exec=interp runs report nothing
 // --list-counters
 //            dump every merged counter aggregate (name sum min max runs)
 //            to stdout after the campaign

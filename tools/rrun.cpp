@@ -2,7 +2,7 @@
 // ROLoad machine.
 //
 //   rrun program.rimg|program.s [--variant baseline|proc|full]
-//        [--harts N] [--exec interp|fast|translated]
+//        [--harts N] [--exec interp|translated]
 //        [--max-instructions N] [--trace] [--stats] [--verify]
 //        [--stats-json FILE] [--profile FILE] [--trace-events FILE]
 //        [--audit FILE] [--jit-report FILE] [--list-counters]
@@ -12,12 +12,12 @@
 //                 Every hart boots at _start with a0 = hartid, a1 = N;
 //                 the exit-code contract below is machine-level: a ROLoad
 //                 kill on ANY hart exits 99, whichever hart it was
-// --exec          host execute tier (default fast): "interp" is the
-//                 reference interpreter, "fast" adds the host fast paths,
-//                 "translated" adds the superblock translation tier on
-//                 top. Tiers change only host speed — simulated cycles,
-//                 counters and the exit code are bit-identical across all
-//                 three (--stats reports the host-side MIPS difference)
+// --exec          host execute tier (default translated): "interp" is
+//                 the reference interpreter, "translated" runs hot code
+//                 as superblocks and the rest on the host fast paths.
+//                 Tiers change only host speed — simulated cycles,
+//                 counters and the exit code are bit-identical across
+//                 both (--stats reports the host-side MIPS difference)
 //
 // --verify        run the static pointee-integrity verifier (src/verify)
 //                 on the image first, then cross-check the loader: every
@@ -85,7 +85,7 @@ int Usage() {
   std::fprintf(stderr,
                "usage: rrun program.rimg|program.s "
                "[--variant baseline|proc|full] [--harts N] "
-               "[--exec interp|fast|translated] "
+               "[--exec interp|translated] "
                "[--max-instructions N] "
                "[--trace] [--stats] [--verify] [--stats-json FILE] "
                "[--profile FILE] [--trace-events FILE] [--audit FILE] "
@@ -115,7 +115,7 @@ bool FlagValue(int argc, char** argv, int* i, const char* flag,
 int main(int argc, char** argv) {
   std::string input;
   core::SystemVariant variant = core::SystemVariant::kFullRoload;
-  cpu::ExecTier exec = cpu::ExecTier::kFast;
+  cpu::ExecTier exec = cpu::ExecTier::kTranslated;
   unsigned harts = 1;
   std::uint64_t max_instructions = 1ull << 32;
   bool trace = false;
