@@ -108,23 +108,9 @@ StatusOr<RunMetrics> RunBuild(const BuildResult& build, SystemVariant variant,
   metrics.roload_violation = run.roload_violation;
   metrics.stdout_text = run.stdout_text;
 
-  tlb::TlbStats dtlb;
-  cache::CacheStats dcache, icache;
-  for (unsigned h = 0; h < harts; ++h) {
-    const cpu::Cpu& cpu = system.cpu(h);
-    metrics.roload_loads += cpu.stats().roload_loads;
-    dtlb.hits += cpu.dtlb_stats().hits;
-    dtlb.misses += cpu.dtlb_stats().misses;
-    dcache.hits += cpu.dcache_stats().hits;
-    dcache.misses += cpu.dcache_stats().misses;
-    icache.hits += cpu.icache_stats().hits;
-    icache.misses += cpu.icache_stats().misses;
-  }
-  metrics.dtlb_miss_rate = static_cast<double>(dtlb.misses) /
-                           static_cast<double>(dtlb.hits + dtlb.misses + 1);
-  metrics.dcache_miss_rate = dcache.MissRate();
-  metrics.icache_miss_rate = icache.MissRate();
   metrics.counters = system.trace().counters().Snapshot();
+  // The fleet sum at two harts or more.
+  metrics.roload_loads = metrics.Counter("cpu.roload_loads");
   if (trace.profile) {
     const trace::CycleProfiler& profiler = system.trace().profiler();
     for (std::size_t b = 0;

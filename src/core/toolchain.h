@@ -80,9 +80,6 @@ struct RunMetrics {
   bool completed = false;          // exited normally
   bool roload_violation = false;   // killed by the ROLoad fault path
   std::string stdout_text;
-  double dtlb_miss_rate = 0.0;
-  double dcache_miss_rate = 0.0;
-  double icache_miss_rate = 0.0;
   // Full end-of-run counter snapshot (sorted by name) from the system's
   // telemetry registry — what the bench JSON exporters embed.
   std::vector<std::pair<std::string, std::uint64_t>> counters;

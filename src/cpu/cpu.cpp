@@ -944,7 +944,7 @@ StepEvent Cpu::ExecuteBlock(TranslatedBlock* block, std::uint64_t target) {
       xlat = dtlb_.Hit(op.dtlb_memo, addr, A, inst.key);
     } else {
       ++translator_->stats().dtlb_memo_misses;
-      xlat = dtlb_.TranslateFor<A>(root, addr, inst.key);
+      xlat = dtlb_.Translate(root, addr, A, inst.key);
       op.dtlb_memo = dtlb_.site_hint(A);
     }
     unsigned mem_cycles = xlat.cycles;  // D-TLB walk + D-cache beyond fetch

@@ -131,9 +131,13 @@ class Tlb {
   // last-translation register covers the page, the access runs Hit()
   // without an out-of-line call. Every hit, whichever path found the
   // entry, runs that one body, so results and TlbStats do not depend on
-  // the path.
-  TlbResult Translate(std::uint64_t root_ppn, std::uint64_t virt_addr,
-                      AccessType access, std::uint32_t key) {
+  // the path. Always inlined, like Hit(), so a call site with a constant
+  // `access` (the translated tier's data micro-ops) folds the permission
+  // switch at compile time.
+  [[gnu::always_inline]] TlbResult Translate(std::uint64_t root_ppn,
+                                             std::uint64_t virt_addr,
+                                             AccessType access,
+                                             std::uint32_t key) {
     if (config_.host_indexed_lookup) {
       Entry* entry = last_translation_[static_cast<std::size_t>(access)];
       if (Covers(entry, root_ppn, virt_addr)) {
@@ -141,27 +145,6 @@ class Tlb {
       }
     }
     return TranslateSlow(root_ppn, virt_addr, access, key);
-  }
-
-  // Compile-time-specialized Translate for the translated tier's inline
-  // data micro-ops (loads, stores, and the ld.ro family): the same hint
-  // register and the same Hit(), with the permission switch folded at
-  // compile time (kLoad/kStore reduce to two bit tests; kRoLoad keeps the
-  // full key-check datapath and its counters). Hint misses delegate to
-  // TranslateSlow unchanged.
-  template <AccessType A>
-  TlbResult TranslateFor(std::uint64_t root_ppn, std::uint64_t virt_addr,
-                         std::uint32_t key) {
-    static_assert(A == AccessType::kLoad || A == AccessType::kStore ||
-                      A == AccessType::kRoLoad,
-                  "fetch accesses use Translate()");
-    if (config_.host_indexed_lookup) {
-      Entry* entry = last_translation_[static_cast<std::size_t>(A)];
-      if (Covers(entry, root_ppn, virt_addr)) {
-        return Hit(entry, virt_addr, A, key);
-      }
-    }
-    return TranslateSlow(root_ppn, virt_addr, A, key);
   }
 
   // True when `entry` is live and maps `virt_addr` under `root_ppn`: the

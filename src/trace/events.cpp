@@ -1,7 +1,5 @@
 #include "trace/events.h"
 
-#include "support/status.h"
-
 namespace roload::trace {
 
 std::string_view EventCategoryName(EventCategory category) {
@@ -72,34 +70,6 @@ std::string_view UnitName(Unit unit) {
       return "l2";
   }
   return "?";
-}
-
-EventBuffer::EventBuffer(std::size_t capacity) {
-  ROLOAD_CHECK(capacity > 0);
-  events_.resize(capacity);
-}
-
-void EventBuffer::Push(const TraceEvent& event) {
-  events_[head_] = event;
-  head_ = (head_ + 1) % events_.size();
-  if (size_ < events_.size()) {
-    ++size_;
-  } else {
-    ++dropped_;  // overwrote the oldest retained event
-  }
-}
-
-const TraceEvent& EventBuffer::at(std::size_t i) const {
-  ROLOAD_CHECK(i < size_);
-  // `head_` points one past the newest; the oldest sits `size_` slots back.
-  const std::size_t oldest = (head_ + events_.size() - size_) % events_.size();
-  return events_[(oldest + i) % events_.size()];
-}
-
-void EventBuffer::Clear() {
-  head_ = 0;
-  size_ = 0;
-  dropped_ = 0;
 }
 
 }  // namespace roload::trace

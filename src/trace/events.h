@@ -1,13 +1,13 @@
-// Structured event tracing: a fixed-capacity ring buffer of small typed
-// records emitted by the CPU, TLBs, caches and kernel. Categories are
-// individually maskable so a run can record, say, only ROLoad faults and
-// context switches at full speed while instruction-retire tracing (the
-// expensive one) stays off.
+// Structured event tracing: small typed records emitted by the CPU, TLBs,
+// caches and kernel and handed, as they happen, to the EventSinks attached
+// to the Hub (the streaming Chrome-trace file, the audit census). Nothing
+// is retained in between. Categories are individually maskable so a run
+// can record, say, only ROLoad faults and context switches at full speed
+// while instruction-retire tracing (the expensive one) stays off.
 #pragma once
 
 #include <cstdint>
 #include <string_view>
-#include <vector>
 
 namespace roload::trace {
 
@@ -80,10 +80,10 @@ struct TraceEvent {
   std::uint8_t hart = 0;
 };
 
-// Observer of the live event stream. A sink attached to the Hub sees
-// every emitted event (of the enabled categories) in emission order,
-// independently of the ring's retention window — the hook the streaming
-// Chrome-trace file sink (stream_sink.h) implements.
+// Observer of the live event stream and the only place events go: a sink
+// attached to the Hub sees every emitted event (of the enabled
+// categories) in emission order. The streaming Chrome-trace file sink
+// (stream_sink.h) and the audit layer's Auditor are the two in the tree.
 class EventSink {
  public:
   virtual ~EventSink() = default;
@@ -95,31 +95,6 @@ class EventSink {
   // Chrome-trace file sink) flush here so fault-ending runs still leave
   // complete artifacts on disk.
   virtual void OnFatalSignal() {}
-};
-
-// Fixed-capacity ring: when full, the oldest event is overwritten and
-// counted in dropped(). Iteration yields chronological order.
-class EventBuffer {
- public:
-  explicit EventBuffer(std::size_t capacity);
-
-  void Push(const TraceEvent& event);
-
-  std::size_t size() const { return size_; }
-  std::size_t capacity() const { return events_.size(); }
-  std::uint64_t dropped() const { return dropped_; }
-  std::uint64_t total_pushed() const { return dropped_ + size_; }
-
-  // The i-th retained event in chronological order, 0 == oldest.
-  const TraceEvent& at(std::size_t i) const;
-
-  void Clear();
-
- private:
-  std::vector<TraceEvent> events_;
-  std::size_t head_ = 0;  // slot the next Push writes
-  std::size_t size_ = 0;
-  std::uint64_t dropped_ = 0;
 };
 
 }  // namespace roload::trace

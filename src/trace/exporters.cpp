@@ -83,113 +83,6 @@ std::string ExportProfileJson(const Hub& hub, std::size_t max_pc_ranges) {
   return json.str() + "\n";
 }
 
-std::string ChromeTraceHeader() {
-  // Compact form: one event per line keeps multi-megabyte traces diffable
-  // and loads in Perfetto unchanged.
-  std::string out = "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n";
-  // Metadata records naming the process and one "thread" per unit.
-  out +=
-      "{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"process_name\","
-      "\"args\":{\"name\":\"roload-sim\"}}";
-  for (unsigned u = 0; u <= static_cast<unsigned>(Unit::kKernel); ++u) {
-    const auto unit = static_cast<Unit>(u);
-    out += StrFormat(
-        ",\n{\"ph\":\"M\",\"pid\":1,\"tid\":%u,\"name\":\"thread_name\","
-        "\"args\":{\"name\":\"%.*s\"}}",
-        u, static_cast<int>(UnitName(unit).size()), UnitName(unit).data());
-  }
-  return out;
-}
-
-void AppendChromeTraceEvent(std::string* out, const TraceEvent& event) {
-  const std::string_view name = EventTypeName(event.type);
-  const std::string_view cat = EventCategoryName(event.category);
-  const bool slice = event.type == EventType::kRetire;
-  const unsigned tid = static_cast<unsigned>(event.hart) *
-                           kChromeTraceHartStride +
-                       static_cast<unsigned>(event.unit);
-  *out += StrFormat(
-      ",\n{\"name\":\"%.*s\",\"cat\":\"%.*s\",\"ph\":\"%s\"%s,"
-      "\"ts\":%llu,\"pid\":1,\"tid\":%u,\"args\":{\"pc\":\"%s\","
-      "\"addr\":\"%s\",\"arg\":%llu}}",
-      static_cast<int>(name.size()), name.data(),
-      static_cast<int>(cat.size()), cat.data(), slice ? "X" : "i",
-      slice ? ",\"dur\":1" : ",\"s\":\"t\"",
-      static_cast<unsigned long long>(event.cycle), tid,
-      Hex(event.pc).c_str(), Hex(event.addr).c_str(),
-      static_cast<unsigned long long>(event.arg));
-}
-
-std::string_view ChromeTraceTrailer() { return "\n]}\n"; }
-
-ChromeTraceWriter::ChromeTraceWriter() {
-  // ChromeTraceHeader() already names hart 0's units through kKernel;
-  // only lanes beyond those need a lazy announcement.
-  announced_.resize(static_cast<unsigned>(Unit::kKernel) + 1, true);
-}
-
-void ChromeTraceWriter::AppendEvent(std::string* out,
-                                    const TraceEvent& event) {
-  const unsigned tid = static_cast<unsigned>(event.hart) *
-                           kChromeTraceHartStride +
-                       static_cast<unsigned>(event.unit);
-  if (tid >= announced_.size()) announced_.resize(tid + 1, false);
-  if (!announced_[tid]) {
-    announced_[tid] = true;
-    const std::string_view unit = UnitName(event.unit);
-    std::string lane;
-    if (event.hart != 0) {
-      lane = StrFormat("hart%u ", static_cast<unsigned>(event.hart));
-    }
-    lane.append(unit.data(), unit.size());
-    *out += StrFormat(
-        ",\n{\"ph\":\"M\",\"pid\":1,\"tid\":%u,\"name\":\"thread_name\","
-        "\"args\":{\"name\":\"%s\"}}",
-        tid, lane.c_str());
-  }
-  AppendChromeTraceEvent(out, event);
-}
-
-std::string ExportChromeTrace(const EventBuffer& events) {
-  std::string out = ChromeTraceHeader();
-  ChromeTraceWriter writer;
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    writer.AppendEvent(&out, events.at(i));
-  }
-  out += ChromeTraceTrailer();
-  return out;
-}
-
-std::string ExportTextSummary(const Hub& hub) {
-  std::string out = "== counters ==\n";
-  for (const auto& [name, value] : hub.counters().Snapshot()) {
-    out += StrFormat("%-28s %llu\n", name.c_str(),
-                     static_cast<unsigned long long>(value));
-  }
-  const CycleProfiler& profiler = hub.profiler();
-  if (profiler.total_cycles() > 0) {
-    out += "== cycle attribution ==\n";
-    for (unsigned b = 0;
-         b < static_cast<unsigned>(CycleBucket::kNumBuckets); ++b) {
-      const auto bucket = static_cast<CycleBucket>(b);
-      const std::uint64_t cycles = profiler.bucket(bucket);
-      out += StrFormat(
-          "%-28s %llu (%.2f%%)\n",
-          std::string(CycleBucketName(bucket)).c_str(),
-          static_cast<unsigned long long>(cycles),
-          100.0 * static_cast<double>(cycles) /
-              static_cast<double>(profiler.total_cycles()));
-    }
-  }
-  const EventBuffer& events = hub.events();
-  if (events.total_pushed() > 0) {
-    out += StrFormat("== events == %llu recorded, %llu dropped\n",
-                     static_cast<unsigned long long>(events.size()),
-                     static_cast<unsigned long long>(events.dropped()));
-  }
-  return out;
-}
-
 Status WriteFile(const std::string& path, const std::string& contents) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) return Status::InvalidArgument("cannot open for write: " + path);

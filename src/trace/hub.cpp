@@ -4,10 +4,7 @@
 
 namespace roload::trace {
 
-Hub::Hub(const TraceConfig& config)
-    : config_(config),
-      events_(config.event_capacity),
-      profiler_(config.pc_bucket_bits) {}
+Hub::Hub(const TraceConfig& config) : config_(config) {}
 
 void Hub::Emit(Unit unit, EventCategory category, EventType type,
                std::uint64_t pc, std::uint64_t addr, std::uint64_t arg) {
@@ -20,7 +17,6 @@ void Hub::Emit(Unit unit, EventCategory category, EventType type,
   event.category = category;
   event.unit = unit;
   event.hart = current_hart_;
-  events_.Push(event);
   for (EventSink* sink : sinks_) sink->OnEvent(event);
 }
 

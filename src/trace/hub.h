@@ -1,10 +1,10 @@
 // The telemetry hub: one per System, holding the counter registry, the
-// event ring and the cycle profiler. Modules keep a `Hub*` (null or with
-// everything masked off in normal runs) and guard every emission with the
-// inline enabled()/profiling() checks, so a disabled hub costs a pointer
-// test and nothing else — it never touches architectural state or the
-// cycle accounting, which is what the bit-identical differential test in
-// tests/test_trace.cpp pins down.
+// cycle profiler and the list of attached event sinks. Modules keep a
+// `Hub*` (null or with everything masked off in normal runs) and guard
+// every emission with the inline enabled()/profiling() checks, so a
+// disabled hub costs a pointer test and nothing else — it never touches
+// architectural state or the cycle accounting, which is what the
+// bit-identical differential test in tests/test_trace.cpp pins down.
 #pragma once
 
 #include <cstdint>
@@ -21,9 +21,7 @@ struct TraceConfig {
   // Bitmask of EventCategory bits to record (see CategoryBit); 0 disables
   // event tracing entirely.
   std::uint32_t categories = 0;
-  std::size_t event_capacity = 1 << 16;
   bool profile = false;
-  unsigned pc_bucket_bits = 12;  // 4 KiB pc-attribution ranges
   // Security forensics (src/audit): attach an Auditor to the system that
   // builds the per-site ld.ro dispatch census and captures a fault autopsy
   // when the kernel delivers a fatal signal. Implies the kRoLoad event
@@ -58,17 +56,16 @@ class Hub {
   }
   unsigned current_hart() const { return current_hart_; }
 
-  // Records an event stamped with now(). Callers must check enabled()
-  // first (the emission sites are hot paths; Emit assumes the check).
+  // Stamps an event with now() and the current hart and hands it to each
+  // attached sink in attachment order; the hub itself keeps nothing.
+  // Callers must check enabled() first (the emission sites are hot paths;
+  // Emit assumes the check).
   void Emit(Unit unit, EventCategory category, EventType type,
             std::uint64_t pc, std::uint64_t addr, std::uint64_t arg);
 
-  // Optional streaming observers: every Emit is also forwarded to each
-  // attached sink in attachment order, letting long runs persist the full
-  // event stream instead of the ring's newest-events window (and letting
-  // the audit layer observe alongside a file sink). Sinks must outlive
-  // the Hub or be removed first. Adding a sink twice or removing one that
-  // is not attached is a no-op.
+  // The event consumers (a streaming trace file, the audit census, or
+  // both). Sinks must outlive the Hub or be removed first. Adding a sink
+  // twice or removing one that is not attached is a no-op.
   void AddSink(EventSink* sink);
   void RemoveSink(EventSink* sink);
 
@@ -80,8 +77,6 @@ class Hub {
 
   CounterRegistry& counters() { return counters_; }
   const CounterRegistry& counters() const { return counters_; }
-  EventBuffer& events() { return events_; }
-  const EventBuffer& events() const { return events_; }
   CycleProfiler& profiler() { return profiler_; }
   const CycleProfiler& profiler() const { return profiler_; }
 
@@ -92,7 +87,6 @@ class Hub {
   const std::uint64_t* clock_ = nullptr;
   std::uint8_t current_hart_ = 0;
   CounterRegistry counters_;
-  EventBuffer events_;
   CycleProfiler profiler_;
   std::vector<EventSink*> sinks_;
 };

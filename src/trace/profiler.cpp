@@ -30,11 +30,6 @@ std::string_view CycleBucketName(CycleBucket bucket) {
   return "?";
 }
 
-CycleProfiler::CycleProfiler(unsigned pc_bucket_bits)
-    : pc_bucket_bits_(pc_bucket_bits) {
-  ROLOAD_CHECK(pc_bucket_bits < 64);
-}
-
 void CycleProfiler::BeginStep() { step_attributed_ = 0; }
 
 void CycleProfiler::Charge(CycleBucket bucket, std::uint64_t cycles) {
@@ -49,7 +44,7 @@ void CycleProfiler::EndStep(CycleBucket residual_bucket, std::uint64_t pc,
   buckets_[static_cast<std::size_t>(residual_bucket)] +=
       total_cycles - step_attributed_;
   total_cycles_ += total_cycles;
-  pc_cycles_[pc >> pc_bucket_bits_] += total_cycles;
+  pc_cycles_[pc >> kPcRangeBits] += total_cycles;
   step_attributed_ = 0;
 }
 
@@ -58,7 +53,7 @@ std::vector<std::pair<std::uint64_t, std::uint64_t>> CycleProfiler::PcRanges()
   std::vector<std::pair<std::uint64_t, std::uint64_t>> ranges;
   ranges.reserve(pc_cycles_.size());
   for (const auto& [bucket, cycles] : pc_cycles_) {
-    ranges.emplace_back(bucket << pc_bucket_bits_, cycles);
+    ranges.emplace_back(bucket << kPcRangeBits, cycles);
   }
   std::sort(ranges.begin(), ranges.end(), [](const auto& a, const auto& b) {
     if (a.second != b.second) return a.second > b.second;

@@ -30,8 +30,8 @@ std::string_view CycleBucketName(CycleBucket bucket);
 
 class CycleProfiler {
  public:
-  // pc_bucket_bits: granularity of the by-pc histogram (12 == 4 KiB pages).
-  explicit CycleProfiler(unsigned pc_bucket_bits = 12);
+  // Granularity of the by-pc histogram: 4 KiB ranges, one per page.
+  static constexpr unsigned kPcRangeBits = 12;
 
   // Per-step protocol (driven by Cpu::Step): BeginStep, zero or more
   // Charge() calls for memory-system components, then EndStep with the
@@ -50,10 +50,11 @@ class CycleProfiler {
   // (range base address, cycles) sorted by descending cycles then address;
   // the deterministic export order.
   std::vector<std::pair<std::uint64_t, std::uint64_t>> PcRanges() const;
-  std::uint64_t pc_range_bytes() const { return 1ull << pc_bucket_bits_; }
+  static constexpr std::uint64_t pc_range_bytes() {
+    return 1ull << kPcRangeBits;
+  }
 
  private:
-  unsigned pc_bucket_bits_;
   std::uint64_t buckets_[static_cast<std::size_t>(CycleBucket::kNumBuckets)] =
       {};
   std::uint64_t total_cycles_ = 0;

@@ -1,9 +1,17 @@
-// Streaming Chrome-trace sink. The event ring retains only the newest
-// `event_capacity` records, so an end-of-run ExportChromeTrace of a long
-// run silently drops the beginning. A sink attached to the Hub observes
-// every emitted event as it happens and writes it to disk incrementally
-// (buffered, flushed every ~flush_bytes), so the on-disk trace is
-// complete regardless of ring capacity.
+// Streaming Chrome-trace sink, the one writer of the Chrome trace_event
+// JSON format (loadable in Perfetto / chrome://tracing). Attached to the
+// Hub, it observes every emitted event as it happens and writes it to
+// disk incrementally (buffered, flushed every ~flush_bytes), so the
+// on-disk trace holds the whole run however long it is.
+//
+// Retire events become complete ("X") slices of their cycle; everything
+// else is an instant ("i"). Timestamps are simulated cycles in the `ts`
+// field. Events are laned per (hart, unit): tid = hart *
+// kChromeTraceHartStride + unit. The header names hart 0's lanes (tids
+// 0..6); every other lane gets a "thread_name" metadata row ("hart1 cpu")
+// the first time an event lands on it, so Perfetto shows each hart's
+// pipeline/TLB/cache rows as its own named group without the header
+// knowing the hart count up front.
 //
 // The on-disk file is valid Chrome trace_event JSON *at every flush
 // boundary*, not only after Close(): each flush writes the pending
@@ -11,21 +19,23 @@
 // back over the trailer before appending. A run that ends in a delivered
 // SIGSEGV or a thrown simulator error therefore still leaves a parseable
 // trace (the kernel's fatal-signal broadcast additionally forces a flush
-// via OnFatalSignal). Output is the same Chrome trace_event JSON
-// ExportChromeTrace produces — byte-identical when the ring retained
-// everything — and Close() (or the destructor) finalizes it.
+// via OnFatalSignal). Close() (or the destructor) finalizes it.
 #pragma once
 
 #include <cstdint>
 #include <fstream>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "support/status.h"
 #include "trace/events.h"
-#include "trace/exporters.h"
 
 namespace roload::trace {
+
+// tid lanes per hart: hart N's unit U renders as tid N*8+U, leaving
+// hart 0 on the historical tids 0..6.
+inline constexpr unsigned kChromeTraceHartStride = 8;
 
 class ChromeTraceFileSink : public EventSink {
  public:
@@ -55,9 +65,8 @@ class ChromeTraceFileSink : public EventSink {
   std::ofstream out_;
   std::string path_;
   std::string buffer_;
-  // Per-(hart, unit) lane bookkeeping, same writer the batch exporter
-  // uses, keeping streamed and batch output byte-identical.
-  ChromeTraceWriter writer_;
+  // Lanes (by tid) whose thread_name row is already in the document.
+  std::vector<bool> announced_;
   std::size_t flush_bytes_;
   // Bytes of document prefix (header + event records) on disk; the file
   // on disk is always prefix + trailer, so truncation at the current end

@@ -30,9 +30,10 @@
 // counter that moved is a real behavior change someone must own (the
 // baseline is regenerated deliberately, with the diff in review).
 //
-// Keys present in the baseline but missing fresh are gating (a bench
-// that silently stopped reporting a number is itself a regression); new
-// fresh keys are advisory notes.
+// Keys present in the baseline but missing fresh are gating whatever
+// their rule, advisory included (a bench that silently stopped reporting
+// a number is itself a regression); only `skip` exempts them. New fresh
+// keys are advisory notes.
 //
 // Exit code: 0 clean, 1 gating regression (or --run failure), 2 usage
 // or I/O error.
@@ -261,8 +262,8 @@ int main(int argc, char** argv) {
       delta.baseline = base.is_number ? FormatNumber(base.number) : base.text;
       delta.fresh = "(missing)";
       delta.delta = "-";
-      delta.gating = tolerance != Tolerance::kAdvisory;
-      gating += delta.gating ? 1 : 0;
+      delta.gating = true;
+      ++gating;
       deltas.push_back(std::move(delta));
       continue;
     }

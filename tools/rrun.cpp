@@ -27,8 +27,8 @@
 // --stats-json    machine-readable counters (the --stats numbers and more)
 // --profile       counters + cycle-attribution profile JSON
 // --trace-events  Chrome trace_event JSON (open in Perfetto / about:tracing),
-//                 streamed to the file during the run so it stays complete
-//                 past the in-memory ring's capacity
+//                 streamed to the file during the run, so it holds every
+//                 event however long the run is
 // --audit         security forensics: write the roload.audit.v1 JSON
 //                 (ld.ro dispatch census + fault autopsies) to FILE; on a
 //                 fatal fault the human-readable autopsy also prints to
@@ -253,9 +253,7 @@ int main(int argc, char** argv) {
       return loader_report.ExitCode();
     }
   }
-  // Events stream to the file as they are emitted, so the export survives
-  // runs longer than the in-memory ring (which keeps only the newest 64Ki
-  // events).
+  // Events stream to the file as they are emitted; the hub keeps no copy.
   std::unique_ptr<trace::ChromeTraceFileSink> event_sink;
   if (!trace_events_path.empty()) {
     auto opened = trace::ChromeTraceFileSink::Open(trace_events_path);
