@@ -3,15 +3,11 @@
 // every defense, and reports the allowlist sizes that bound the residual
 // pointee-reuse surface.
 //
-// Expected matrix (paper claims):
-//  * no defense: vtable injection and fnptr corruption hijack control.
-//  * VCall blocks vtable injection AND cross-hierarchy vtable reuse
-//    (strictly stronger than VTint, which only enforces read-only-ness).
-//  * ICall blocks fnptr hijack to arbitrary code; the residual surface is
-//    reuse of same-type allowlist entries (Section V-D).
-//  * Classic CFI blocks wrong-type targets but also allows same-type reuse.
+// Every 1-hart and 4-hart cell is checked against the paper's verdict
+// (sec::PaperOutcome); a mismatch is marked "!=paper" and fails the bench.
 #include <cstddef>
 #include <cstdio>
+#include <span>
 #include <string>
 
 #include "bench/bench_util.h"
@@ -28,46 +24,83 @@ using namespace roload;
 
 namespace {
 
-// One cell of the attack × defense grid (ParallelMap slots must be
-// default-constructible, which StatusOr is not).
+// One cell of the attack grid: what to run, and what it gave (ParallelMap
+// slots must be default-constructible, which StatusOr is not).
 struct AttackCell {
+  sec::AttackKind kind = sec::AttackKind::kVtableInjection;
+  core::Defense defense = core::Defense::kNone;
+  unsigned harts = 1;
+  unsigned inject_hart = 0;
   Status status = Status::Ok();
   sec::AttackResult result;
 };
+
+std::string CellName(const AttackCell& cell) {
+  return std::string(sec::AttackKindName(cell.kind)) + "." +
+         std::string(core::DefenseName(cell.defense));
+}
+
+bool MatchesPaper(const AttackCell& cell) {
+  return cell.result.outcome == sec::PaperOutcome(cell.kind, cell.defense);
+}
+
+// The printed verdict of a cell that ran: its outcome, the hart that
+// caught a ROLoad block on a multi-hart machine, and "!=paper" when the
+// outcome is not the paper's.
+std::string Verdict(const AttackCell& cell) {
+  std::string verdict(sec::AttackOutcomeName(cell.result.outcome));
+  if (cell.harts > 1 && cell.result.roload_violation) {
+    verdict += "@hart" + std::to_string(cell.result.hart);
+  }
+  if (!MatchesPaper(cell)) verdict += "!=paper";
+  return verdict;
+}
 
 }  // namespace
 
 int main() {
   trace::TelemetrySession session("security_matrix");
-  const sec::AttackKind kinds[] = {
-      sec::AttackKind::kVtableInjection,
-      sec::AttackKind::kVtableReuseCrossHierarchy,
-      sec::AttackKind::kFnPtrCorruptToEvil,
-      sec::AttackKind::kFnPtrReuseSameType,
-  };
-  const core::Defense defenses[] = {
-      core::Defense::kNone, core::Defense::kVCall, core::Defense::kVTint,
-      core::Defense::kICall, core::Defense::kClassicCfi,
-  };
-  constexpr std::size_t kDefenseCount = std::size(defenses);
+  constexpr std::size_t kDefenseCount = std::size(core::kAllDefenses);
+  // Under load: the same attacks on a 4-hart machine while the other harts
+  // keep serving the victim's dispatch loops, injected through hart 0 and
+  // again through the last hart's debug port.
+  constexpr unsigned kLoadHarts = 4;
+  constexpr unsigned kInjectHart = kLoadHarts - 1;
+  const core::Defense load_defenses[] = {
+      core::Defense::kNone, core::Defense::kVCall, core::Defense::kICall};
+  constexpr std::size_t kLoadDefenseCount = std::size(load_defenses);
 
-  // The attack-injection campaign is an embarrassingly parallel grid just
-  // like the figure sweeps; it goes through the same deterministic
-  // parallel map (each cell builds and runs its own victim System).
-  const std::vector<AttackCell> cells =
-      campaign::ParallelMap<AttackCell>(
-          std::size(kinds) * kDefenseCount, bench::BenchJobs(),
-          [&](std::size_t i) {
-            AttackCell cell;
-            auto run = sec::RunAttackSmp(kinds[i / kDefenseCount],
-                                         defenses[i % kDefenseCount]);
-            if (run.ok()) {
-              cell.result = *run;
-            } else {
-              cell.status = run.status();
-            }
-            return cell;
-          });
+  // The whole campaign is one embarrassingly parallel grid, like the
+  // figure sweeps: kind-major rows of each table, the tables back to back
+  // (each cell builds and runs its own victim System).
+  std::vector<AttackCell> grid;
+  auto add_table = [&grid](std::span<const core::Defense> defenses,
+                           unsigned harts, unsigned inject_hart) {
+    const std::size_t first = grid.size();
+    for (sec::AttackKind kind : sec::kAttackKinds) {
+      for (core::Defense defense : defenses) {
+        grid.push_back({kind, defense, harts, inject_hart, Status::Ok(), {}});
+      }
+    }
+    return first;
+  };
+  const std::size_t serial = add_table(core::kAllDefenses, 1, 0);
+  const std::size_t load = add_table(load_defenses, kLoadHarts, 0);
+  const std::size_t inject =
+      add_table(load_defenses, kLoadHarts, kInjectHart);
+  const std::vector<AttackCell> cells = campaign::ParallelMap<AttackCell>(
+      grid.size(), bench::BenchJobs(), [&grid](std::size_t i) {
+        AttackCell cell = grid[i];
+        auto run = sec::RunAttackSmp(cell.kind, cell.defense, cell.harts,
+                                     core::SystemVariant::kFullRoload,
+                                     cell.inject_hart);
+        if (run.ok()) {
+          cell.result = *run;
+        } else {
+          cell.status = run.status();
+        }
+        return cell;
+      });
 
   // Forensic aggregation across the grid: every cell ran with the audit
   // layer on, so each result carries a counter snapshot (census totals,
@@ -76,30 +109,28 @@ int main() {
 
   std::printf("Security matrix (attack outcome per defense)\n\n");
   std::printf("%-30s", "attack \\ defense");
-  for (core::Defense defense : defenses) {
+  for (core::Defense defense : core::kAllDefenses) {
     std::printf(" %-10s", core::DefenseName(defense).data());
   }
   std::printf("\n");
   bool any_error = false;
-  for (std::size_t k = 0; k < std::size(kinds); ++k) {
-    std::printf("%-30s", sec::AttackKindName(kinds[k]).data());
+  for (std::size_t k = 0; k < std::size(sec::kAttackKinds); ++k) {
+    std::printf("%-30s", sec::AttackKindName(sec::kAttackKinds[k]).data());
     for (std::size_t d = 0; d < kDefenseCount; ++d) {
-      const AttackCell& cell = cells[k * kDefenseCount + d];
-      const std::string key = std::string("attack.") +
-                              std::string(sec::AttackKindName(kinds[k])) +
-                              "." +
-                              std::string(core::DefenseName(defenses[d]));
+      const AttackCell& cell = cells[serial + k * kDefenseCount + d];
+      const std::string key = "attack." + CellName(cell);
       if (!cell.status.ok()) {
         std::printf(" %-10s", "ERROR");
         session.Record(key, "ERROR");
         any_error = true;
         continue;
       }
-      std::printf(" %-10s",
-                  sec::AttackOutcomeName(cell.result.outcome).data());
-      session.Record(key, sec::AttackOutcomeName(cell.result.outcome));
-      merger.Add(std::string(sec::AttackKindName(kinds[k])) + "/" +
-                     std::string(core::DefenseName(defenses[d])),
+      const std::string verdict = Verdict(cell);
+      any_error |= !MatchesPaper(cell);
+      std::printf(" %-10s", verdict.c_str());
+      session.Record(key, verdict);
+      merger.Add(std::string(sec::AttackKindName(cell.kind)) + "/" +
+                     std::string(core::DefenseName(cell.defense)),
                  cell.result.counters);
     }
     std::printf("\n");
@@ -110,14 +141,11 @@ int main() {
   // tripped ("caught:key-mismatch@dispatch", "caught:writable-page@..."),
   // or why not ("missed:hijacked", "diverted:in-allowlist").
   std::printf("\nForensic classification (audit layer)\n\n");
-  for (std::size_t k = 0; k < std::size(kinds); ++k) {
-    std::printf("%-30s\n", sec::AttackKindName(kinds[k]).data());
+  for (std::size_t k = 0; k < std::size(sec::kAttackKinds); ++k) {
+    std::printf("%-30s\n", sec::AttackKindName(sec::kAttackKinds[k]).data());
     for (std::size_t d = 0; d < kDefenseCount; ++d) {
-      const AttackCell& cell = cells[k * kDefenseCount + d];
-      const std::string key = std::string("forensic.") +
-                              std::string(sec::AttackKindName(kinds[k])) +
-                              "." +
-                              std::string(core::DefenseName(defenses[d]));
+      const AttackCell& cell = cells[serial + k * kDefenseCount + d];
+      const std::string key = "forensic." + CellName(cell);
       if (!cell.status.ok()) {
         session.Record(key, "ERROR");
         continue;
@@ -131,37 +159,15 @@ int main() {
                                 cell.result.fault_va),
                             cell.result.inst_key, cell.result.pte_key);
       }
-      std::printf("    %-10s %s\n", core::DefenseName(defenses[d]).data(),
+      std::printf("    %-10s %s\n", core::DefenseName(cell.defense).data(),
                   detail.c_str());
       session.Record(key, cell.result.classification);
     }
   }
 
-  // Under load: the same attacks launched on hart 0 of a 4-hart machine
-  // while harts 1-3 keep serving the victim's dispatch loops
-  // (sec::RunAttackSmp). The defense verdicts must not change under
-  // traffic, and the blocked cells must attribute the kill to the hart
-  // the scheduler actually dispatched into the corrupted table first.
-  constexpr unsigned kLoadHarts = 4;
-  const core::Defense load_defenses[] = {
-      core::Defense::kNone, core::Defense::kVCall, core::Defense::kICall};
-  constexpr std::size_t kLoadDefenseCount = std::size(load_defenses);
-  const std::vector<AttackCell> load_cells =
-      campaign::ParallelMap<AttackCell>(
-          std::size(kinds) * kLoadDefenseCount, bench::BenchJobs(),
-          [&](std::size_t i) {
-            AttackCell cell;
-            auto run = sec::RunAttackSmp(kinds[i / kLoadDefenseCount],
-                                         load_defenses[i % kLoadDefenseCount],
-                                         kLoadHarts);
-            if (run.ok()) {
-              cell.result = *run;
-            } else {
-              cell.status = run.status();
-            }
-            return cell;
-          });
-
+  // Under load. The defense verdicts must not change under traffic, and
+  // the blocked cells must attribute the kill to the hart the scheduler
+  // actually dispatched into the corrupted table first.
   std::printf("\nUnder load (attack while %u harts serve RPC-style "
               "dispatch)\n\n", kLoadHarts);
   std::printf("%-30s", "attack \\ defense");
@@ -169,81 +175,53 @@ int main() {
     std::printf(" %-14s", core::DefenseName(defense).data());
   }
   std::printf("\n");
-  for (std::size_t k = 0; k < std::size(kinds); ++k) {
-    std::printf("%-30s", sec::AttackKindName(kinds[k]).data());
+  for (std::size_t k = 0; k < std::size(sec::kAttackKinds); ++k) {
+    std::printf("%-30s", sec::AttackKindName(sec::kAttackKinds[k]).data());
     for (std::size_t d = 0; d < kLoadDefenseCount; ++d) {
-      const AttackCell& cell = load_cells[k * kLoadDefenseCount + d];
-      const std::string key =
-          std::string("attack_load.") +
-          std::string(sec::AttackKindName(kinds[k])) + "." +
-          std::string(core::DefenseName(load_defenses[d]));
+      const AttackCell& cell = cells[load + k * kLoadDefenseCount + d];
+      const std::string key = "attack_load." + CellName(cell);
       if (!cell.status.ok()) {
         std::printf(" %-14s", "ERROR");
         session.Record(key, "ERROR");
         any_error = true;
         continue;
       }
-      std::string verdict(sec::AttackOutcomeName(cell.result.outcome));
-      if (cell.result.roload_violation) {
-        verdict += "@hart" + std::to_string(cell.result.hart);
-      }
+      const std::string verdict = Verdict(cell);
+      any_error |= !MatchesPaper(cell);
       std::printf(" %-14s", verdict.c_str());
       session.Record(key, verdict);
       session.Record(key + ".hart",
                      static_cast<std::uint64_t>(cell.result.hart));
-      merger.Add(std::string(sec::AttackKindName(kinds[k])) + "/" +
-                     std::string(core::DefenseName(load_defenses[d])) +
-                     "/h" + std::to_string(kLoadHarts),
+      merger.Add(std::string(sec::AttackKindName(cell.kind)) + "/" +
+                     std::string(core::DefenseName(cell.defense)) + "/h" +
+                     std::to_string(kLoadHarts),
                  cell.result.counters);
     }
     std::printf("\n");
   }
   std::printf("\n");
 
-  // The same under-load grid with the corruption injected through the LAST
-  // hart's debug port instead of hart 0. The address space is shared, so
-  // every verdict (and the catching hart) must match the hart-0 rows —
-  // any divergence is an attribution bug and fails the bench.
-  constexpr unsigned kInjectHart = kLoadHarts - 1;
-  const std::vector<AttackCell> inject_cells =
-      campaign::ParallelMap<AttackCell>(
-          std::size(kinds) * kLoadDefenseCount, bench::BenchJobs(),
-          [&](std::size_t i) {
-            AttackCell cell;
-            auto run = sec::RunAttackSmp(kinds[i / kLoadDefenseCount],
-                                         load_defenses[i % kLoadDefenseCount],
-                                         kLoadHarts,
-                                         core::SystemVariant::kFullRoload,
-                                         kInjectHart);
-            if (run.ok()) {
-              cell.result = *run;
-            } else {
-              cell.status = run.status();
-            }
-            return cell;
-          });
-
+  // The address space is shared, so every verdict (and the catching hart)
+  // of the last-hart injection must match the hart-0 rows — any
+  // divergence is an attribution bug, marked "!=h0", and fails the bench.
   std::printf("Under load, corruption injected from hart %u (parity with "
               "hart-0 injection)\n\n", kInjectHart);
-  for (std::size_t k = 0; k < std::size(kinds); ++k) {
-    std::printf("%-30s", sec::AttackKindName(kinds[k]).data());
+  for (std::size_t k = 0; k < std::size(sec::kAttackKinds); ++k) {
+    std::printf("%-30s", sec::AttackKindName(sec::kAttackKinds[k]).data());
     for (std::size_t d = 0; d < kLoadDefenseCount; ++d) {
-      const AttackCell& cell = inject_cells[k * kLoadDefenseCount + d];
-      const AttackCell& base = load_cells[k * kLoadDefenseCount + d];
-      const std::string key =
-          std::string("attack_inject_h") + std::to_string(kInjectHart) +
-          "." + std::string(sec::AttackKindName(kinds[k])) + "." +
-          std::string(core::DefenseName(load_defenses[d]));
+      const AttackCell& cell = cells[inject + k * kLoadDefenseCount + d];
+      const AttackCell& base = cells[load + k * kLoadDefenseCount + d];
+      const std::string key = "attack_inject_h" +
+                              std::to_string(kInjectHart) + "." +
+                              CellName(cell);
       if (!cell.status.ok()) {
         std::printf(" %-14s", "ERROR");
         session.Record(key, "ERROR");
         any_error = true;
         continue;
       }
-      std::string verdict(sec::AttackOutcomeName(cell.result.outcome));
-      if (cell.result.roload_violation) {
-        verdict += "@hart" + std::to_string(cell.result.hart);
-      }
+      std::string verdict = Verdict(cell);
+      any_error |= !MatchesPaper(cell);
       const bool parity =
           base.status.ok() &&
           cell.result.outcome == base.result.outcome &&
@@ -270,7 +248,7 @@ int main() {
   // violation (never expected here).
   std::printf("%-30s", "statically proven");
   const ir::Module victim = sec::MakeVictimModule();
-  for (core::Defense defense : defenses) {
+  for (core::Defense defense : core::kAllDefenses) {
     core::BuildOptions options;
     options.defense = defense;
     auto build = core::Build(victim, options);
@@ -350,39 +328,37 @@ int main() {
     writer.KV("schema", "roload.audit.v1");
     writer.KV("source", "security_matrix");
     writer.Key("cells").BeginArray();
-    for (std::size_t k = 0; k < std::size(kinds); ++k) {
-      for (std::size_t d = 0; d < kDefenseCount; ++d) {
-        const AttackCell& cell = cells[k * kDefenseCount + d];
-        writer.BeginObject();
-        writer.KV("attack", sec::AttackKindName(kinds[k]));
-        writer.KV("defense", core::DefenseName(defenses[d]));
-        if (!cell.status.ok()) {
-          writer.KV("error", cell.status.ToString());
-          writer.EndObject();
-          continue;
-        }
-        writer.KV("outcome", sec::AttackOutcomeName(cell.result.outcome));
-        writer.KV("classification", cell.result.classification);
-        writer.KV("roload_violation", cell.result.roload_violation);
-        writer.KV("has_autopsy", cell.result.has_autopsy);
-        if (cell.result.has_autopsy) {
-          writer.Key("autopsy").BeginObject();
-          writer.KV("fault_pc",
-                    StrFormat("0x%llx", static_cast<unsigned long long>(
-                                            cell.result.fault_pc)));
-          writer.KV("fault_va",
-                    StrFormat("0x%llx", static_cast<unsigned long long>(
-                                            cell.result.fault_va)));
-          writer.KV("inst_key",
-                    static_cast<std::uint64_t>(cell.result.inst_key));
-          writer.KV("pte_key",
-                    static_cast<std::uint64_t>(cell.result.pte_key));
-          writer.KV("page_mapped", cell.result.page_mapped);
-          writer.KV("page_writable", cell.result.page_writable);
-          writer.EndObject();
-        }
+    for (std::size_t i = serial; i < load; ++i) {
+      const AttackCell& cell = cells[i];
+      writer.BeginObject();
+      writer.KV("attack", sec::AttackKindName(cell.kind));
+      writer.KV("defense", core::DefenseName(cell.defense));
+      if (!cell.status.ok()) {
+        writer.KV("error", cell.status.ToString());
+        writer.EndObject();
+        continue;
+      }
+      writer.KV("outcome", sec::AttackOutcomeName(cell.result.outcome));
+      writer.KV("classification", cell.result.classification);
+      writer.KV("roload_violation", cell.result.roload_violation);
+      writer.KV("has_autopsy", cell.result.has_autopsy);
+      if (cell.result.has_autopsy) {
+        writer.Key("autopsy").BeginObject();
+        writer.KV("fault_pc",
+                  StrFormat("0x%llx", static_cast<unsigned long long>(
+                                          cell.result.fault_pc)));
+        writer.KV("fault_va",
+                  StrFormat("0x%llx", static_cast<unsigned long long>(
+                                          cell.result.fault_va)));
+        writer.KV("inst_key",
+                  static_cast<std::uint64_t>(cell.result.inst_key));
+        writer.KV("pte_key",
+                  static_cast<std::uint64_t>(cell.result.pte_key));
+        writer.KV("page_mapped", cell.result.page_mapped);
+        writer.KV("page_writable", cell.result.page_writable);
         writer.EndObject();
       }
+      writer.EndObject();
     }
     writer.EndArray();
     writer.Key("merged_counters").BeginObject();

@@ -29,9 +29,7 @@ bool ParseVariant(std::string_view name, core::SystemVariant* variant) {
 }
 
 bool ParseDefense(std::string_view name, core::Defense* defense) {
-  for (core::Defense candidate :
-       {core::Defense::kNone, core::Defense::kVCall, core::Defense::kVTint,
-        core::Defense::kICall, core::Defense::kClassicCfi}) {
+  for (core::Defense candidate : core::kAllDefenses) {
     if (name == core::DefenseName(candidate)) {
       *defense = candidate;
       return true;

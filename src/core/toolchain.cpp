@@ -79,9 +79,7 @@ verify::Report Verify(const BuildResult& build) {
   policy.require_protected_dispatch =
       build.options.defense == Defense::kICall &&
       build.options.icall.harden_vtables;
-  verify::VerifyImageOptions options;
-  options.jobs = build.options.verify_jobs;
-  verify::VerifyImage(build.image, policy, &expectations, &report, options);
+  verify::VerifyImage(build.image, policy, &expectations, &report);
   return report;
 }
 

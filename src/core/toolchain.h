@@ -27,6 +27,11 @@ enum class Defense : std::uint8_t {
   kClassicCfi,  // software label-based baseline for kICall
 };
 
+// Every defense, in enum order: the columns of each defense sweep.
+inline constexpr Defense kAllDefenses[] = {
+    Defense::kNone, Defense::kVCall, Defense::kVTint, Defense::kICall,
+    Defense::kClassicCfi};
+
 std::string_view DefenseName(Defense defense);
 
 struct BuildOptions {
@@ -38,10 +43,6 @@ struct BuildOptions {
   // Run the static pointee-integrity verifier (src/verify) on the build
   // products; Build fails with FailedPrecondition on any violation.
   bool verify = false;
-  // Worker threads for the verifier's per-function checking phase
-  // (0 = one per hardware thread). Any count yields bit-identical
-  // reports; raise it for whole-image verification of large builds.
-  unsigned verify_jobs = 1;
 };
 
 struct BuildResult {

@@ -578,14 +578,9 @@ StepEvent Cpu::ExecuteDecodedImpl(const isa::Instruction& inst,
         break;
       }
       case Opcode::kEcall:
-        stats_.cycles += cycles + 1;
-        ++stats_.instructions;
-        pc_ = next_pc;
-        if (profiling) {
-          trace_->profiler().EndStep(trace::CycleBucket::kSyscall, step_pc,
-                                     cycles + 1);
-        }
-        return StepEvent::kEcall;
+        // Retires like any instruction; the kernel then services it.
+        writes_rd = false;
+        break;
       case Opcode::kEbreak:
         RaiseTrap(isa::TrapCause::kBreakpoint, pc_);
         goto trap;
@@ -607,10 +602,13 @@ StepEvent Cpu::ExecuteDecodedImpl(const isa::Instruction& inst,
     if (profiling) {
       // A ld.ro's own execution cycles form the "roload_load" bucket —
       // the direct cost of the checked-load path (Fig 3/4 decomposition).
-      trace_->profiler().EndStep(isa::IsRoLoad(inst.op)
-                                     ? trace::CycleBucket::kRoLoadLoad
-                                     : trace::CycleBucket::kCompute,
-                                 step_pc, cycles + 1);
+      trace::CycleBucket bucket = trace::CycleBucket::kCompute;
+      if (inst.op == Opcode::kEcall) {
+        bucket = trace::CycleBucket::kSyscall;
+      } else if (isa::IsRoLoad(inst.op)) {
+        bucket = trace::CycleBucket::kRoLoadLoad;
+      }
+      trace_->profiler().EndStep(bucket, step_pc, cycles + 1);
     }
     if (trace_->enabled(trace::EventCategory::kInstruction)) {
       trace_->Emit(trace::Unit::kCpu, trace::EventCategory::kInstruction,
@@ -618,7 +616,7 @@ StepEvent Cpu::ExecuteDecodedImpl(const isa::Instruction& inst,
                    static_cast<std::uint64_t>(inst.op));
     }
   }
-  return StepEvent::kRetired;
+  return inst.op == Opcode::kEcall ? StepEvent::kEcall : StepEvent::kRetired;
 
 trap:
   // A faulting load/store or an ebreak: its cycles are charged, but it

@@ -5,16 +5,9 @@
 namespace roload::kernel {
 
 StatusOr<std::uint64_t> FrameAllocator::Allocate() {
-  std::uint64_t ppn;
-  if (!free_list_.empty()) {
-    ppn = free_list_.back();
-    free_list_.pop_back();
-  } else {
-    if (next_ >= end_) return Status::OutOfRange("out of physical frames");
-    ppn = next_++;
-  }
+  if (next_ >= end_) return Status::OutOfRange("out of physical frames");
   ++allocated_;
-  return ppn;
+  return next_++;
 }
 
 AddressSpace::AddressSpace(mem::PhysMemory* memory, FrameAllocator* frames)

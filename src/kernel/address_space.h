@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "mem/page_table.h"
 #include "mem/phys_memory.h"
@@ -25,8 +24,9 @@ struct PageProt {
   static PageProt Rw() { return {true, true, false, 0}; }
 };
 
-// Physical frame allocator: bump allocation with a free list, operating on
-// a region of PhysMemory reserved for a process and the kernel.
+// Physical frame allocator: bump allocation over a region of PhysMemory
+// reserved for a process and the kernel. Frames are never freed (the
+// kernel has no munmap).
 class FrameAllocator {
  public:
   FrameAllocator(std::uint64_t first_frame, std::uint64_t frame_count)
@@ -34,14 +34,12 @@ class FrameAllocator {
 
   // Allocates one 4 KiB frame; returns its PPN.
   StatusOr<std::uint64_t> Allocate();
-  void Free(std::uint64_t ppn) { free_list_.push_back(ppn); }
 
   std::uint64_t allocated_frames() const { return allocated_; }
 
  private:
   std::uint64_t next_;
   std::uint64_t end_;
-  std::vector<std::uint64_t> free_list_;
   std::uint64_t allocated_ = 0;
 };
 

@@ -1,5 +1,7 @@
 #include "sec/attack.h"
 
+#include <iterator>
+
 #include "asmtool/image.h"
 #include "audit/audit.h"
 #include "ir/builder.h"
@@ -11,6 +13,34 @@ constexpr std::int64_t kSentinel = 0xDEAD;
 constexpr std::int64_t kSentinelOffset = 40;  // scratch slot used by evil
 constexpr std::uint64_t kPauseInstructions = 50000;
 constexpr std::uint64_t kVictimIterations = 4000;
+
+// One arbitrary write of an attack: the address of symbol `value` goes
+// into the 8-byte word at symbol `target`.
+struct SymbolWrite {
+  const char* target;
+  const char* value;
+};
+
+// The corruption each attack performs, in write order.
+std::vector<SymbolWrite> AttackWrites(AttackKind kind,
+                                      core::Defense defense) {
+  switch (kind) {
+    case AttackKind::kVtableInjection:
+      // A fake vtable in writable memory whose one entry is evil.
+      return {{"attack_buffer", "evil"}, {"the_object", "attack_buffer"}};
+    case AttackKind::kVtableReuseCrossHierarchy:
+      return {{"the_object", "vt_B0"}};
+    case AttackKind::kFnPtrCorruptToEvil:
+      return {{"fslot", "evil"}};
+    case AttackKind::kFnPtrReuseSameType:
+      // Under ICall the legitimate pointer format is a GFPT entry; the
+      // reuse attack swaps in *another* same-type GFPT entry. Under the
+      // other defenses it is the raw address of the same-type function.
+      return {{"fslot", defense == core::Defense::kICall ? "gfpt_cb_second"
+                                                         : "cb_second"}};
+  }
+  return {};
+}
 
 }  // namespace
 
@@ -40,6 +70,34 @@ std::string_view AttackOutcomeName(AttackOutcome outcome) {
       return "no-effect";
   }
   return "?";
+}
+
+AttackOutcome PaperOutcome(AttackKind kind, core::Defense defense) {
+  constexpr AttackOutcome kH = AttackOutcome::kHijacked;
+  constexpr AttackOutcome kB = AttackOutcome::kBlocked;
+  constexpr AttackOutcome kD = AttackOutcome::kDiverted;
+  // One row per defense (core::kAllDefenses order); the columns are
+  // kAttackKinds: vtable injection, cross-hierarchy vtable reuse, fnptr
+  // corrupted to attacker code, same-type fnptr reuse.
+  constexpr AttackOutcome kTable[][std::size(kAttackKinds)] = {
+      // none (V-C2): both hijack primitives work and both reuses divert.
+      {kH, kD, kH, kD},
+      // VCall (IV-A): per-hierarchy vtable keys block injection and
+      // cross-hierarchy reuse; plain function pointers are not covered.
+      {kB, kB, kH, kD},
+      // VTint (V-C2): read-only vtables block injection only.
+      {kB, kD, kH, kD},
+      // ICall (IV-B): raw-address hijacks are blocked; the unified vtable
+      // key admits cross-hierarchy reuse, and same-type reuse is the
+      // residual surface of V-D.
+      {kB, kD, kB, kD},
+      // CFI (V-C2): label checks block wrong-type targets and admit
+      // same-type ones.
+      {kB, kD, kB, kD},
+  };
+  static_assert(std::size(kTable) == std::size(core::kAllDefenses));
+  return kTable[static_cast<std::size_t>(defense)]
+               [static_cast<std::size_t>(kind)];
 }
 
 ir::Module MakeVictimModule() {
@@ -194,20 +252,14 @@ StatusOr<AttackResult> RunAttackSmp(AttackKind kind, core::Defense defense,
   // hart count (the harts cooperatively advance the shared loop counter,
   // so the clean exit code is a function of the interleaving — which the
   // deterministic scheduler makes reproducible).
-  std::int64_t baseline_exit = 0;
-  {
-    core::SystemConfig config;
-    config.variant = variant;
-    config.harts = harts;
-    core::System machine(config);
-    ROLOAD_RETURN_IF_ERROR(machine.Load(build->image));
-    const kernel::RunResult run = machine.Run();
-    if (run.kind != kernel::ExitKind::kExited) {
-      return Status::Internal("victim does not run cleanly under " +
-                              std::string(core::DefenseName(defense)));
-    }
-    baseline_exit = run.exit_code;
+  auto baseline = core::RunBuild(*build, variant, 1ull << 34, {},
+                                 cpu::ExecTier::kTranslated, harts);
+  if (!baseline.ok()) return baseline.status();
+  if (!baseline->completed) {
+    return Status::Internal("victim does not run cleanly under " +
+                            std::string(core::DefenseName(defense)));
   }
+  const std::int64_t baseline_exit = baseline->exit_code;
 
   core::SystemConfig config;
   config.variant = variant;
@@ -229,52 +281,13 @@ StatusOr<AttackResult> RunAttackSmp(AttackKind kind, core::Defense defense,
   // primitive. The address space is shared, so whichever hart's debug port
   // carries the write (`inject_hart`) lands on the same memory — the
   // verdict must not depend on the choice.
-  auto write64 = [&machine, inject_hart](std::uint64_t addr,
-                                         std::uint64_t value) -> Status {
-    if (!machine.cpu(inject_hart).DebugWriteVirt(addr, 8, value)) {
+  for (const SymbolWrite& write : AttackWrites(kind, defense)) {
+    auto value = sym(write.value);
+    if (!value.ok()) return value.status();
+    auto target = sym(write.target);
+    if (!target.ok()) return target.status();
+    if (!machine.cpu(inject_hart).DebugWriteVirt(*target, 8, *value)) {
       return Status::Internal("arbitrary write failed");
-    }
-    return Status::Ok();
-  };
-  switch (kind) {
-    case AttackKind::kVtableInjection: {
-      auto buffer = sym("attack_buffer");
-      auto evil = sym("evil");
-      auto object = sym("the_object");
-      if (!buffer.ok()) return buffer.status();
-      if (!evil.ok()) return evil.status();
-      if (!object.ok()) return object.status();
-      ROLOAD_RETURN_IF_ERROR(write64(*buffer, *evil));
-      ROLOAD_RETURN_IF_ERROR(write64(*object, *buffer));
-      break;
-    }
-    case AttackKind::kVtableReuseCrossHierarchy: {
-      auto other = sym("vt_B0");
-      auto object = sym("the_object");
-      if (!other.ok()) return other.status();
-      if (!object.ok()) return object.status();
-      ROLOAD_RETURN_IF_ERROR(write64(*object, *other));
-      break;
-    }
-    case AttackKind::kFnPtrCorruptToEvil: {
-      auto evil = sym("evil");
-      auto slot = sym("fslot");
-      if (!evil.ok()) return evil.status();
-      if (!slot.ok()) return slot.status();
-      ROLOAD_RETURN_IF_ERROR(write64(*slot, *evil));
-      break;
-    }
-    case AttackKind::kFnPtrReuseSameType: {
-      // Under ICall the legitimate pointer format is a GFPT entry; the
-      // reuse attack swaps in *another* same-type GFPT entry. Under the
-      // other defenses it is the raw address of the same-type function.
-      auto target = defense == core::Defense::kICall ? sym("gfpt_cb_second")
-                                                     : sym("cb_second");
-      auto slot = sym("fslot");
-      if (!target.ok()) return target.status();
-      if (!slot.ok()) return slot.status();
-      ROLOAD_RETURN_IF_ERROR(write64(*slot, *target));
-      break;
     }
   }
 

@@ -34,6 +34,11 @@ enum class AttackKind : std::uint8_t {
   kFnPtrReuseSameType,
 };
 
+// Every attack kind, in enum order: the rows of the security matrix.
+inline constexpr AttackKind kAttackKinds[] = {
+    AttackKind::kVtableInjection, AttackKind::kVtableReuseCrossHierarchy,
+    AttackKind::kFnPtrCorruptToEvil, AttackKind::kFnPtrReuseSameType};
+
 std::string_view AttackKindName(AttackKind kind);
 
 enum class AttackOutcome : std::uint8_t {
@@ -44,6 +49,11 @@ enum class AttackOutcome : std::uint8_t {
 };
 
 std::string_view AttackOutcomeName(AttackOutcome outcome);
+
+// The paper's verdict for `kind` under `defense` (Sections IV, V-C2 and
+// V-D): the one copy of the security claim that bench/security_matrix and
+// tests/test_sec.cpp check every measured outcome against.
+AttackOutcome PaperOutcome(AttackKind kind, core::Defense defense);
 
 struct AttackResult {
   AttackOutcome outcome = AttackOutcome::kNoEffect;

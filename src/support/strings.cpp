@@ -44,6 +44,21 @@ bool EndsWith(std::string_view text, std::string_view suffix) {
          text.substr(text.size() - suffix.size()) == suffix;
 }
 
+bool FlagValue(int argc, char** argv, int* i, const char* flag,
+               std::string* value) {
+  const std::string arg = argv[*i];
+  const std::string prefix = std::string(flag) + "=";
+  if (StartsWith(arg, prefix)) {
+    *value = arg.substr(prefix.size());
+    return true;
+  }
+  if (arg == flag && *i + 1 < argc) {
+    *value = argv[++*i];
+    return true;
+  }
+  return false;
+}
+
 std::optional<std::int64_t> ParseInt(std::string_view text) {
   text = StripWhitespace(text);
   if (text.empty()) return std::nullopt;

@@ -1,4 +1,5 @@
-// Small string utilities used by the assembler and the IR printer.
+// Small string utilities used by the assembler, the IR printer and the
+// command-line tools.
 #pragma once
 
 #include <cstdint>
@@ -18,6 +19,12 @@ std::vector<std::string_view> SplitString(std::string_view text, char sep,
 
 bool StartsWith(std::string_view text, std::string_view prefix);
 bool EndsWith(std::string_view text, std::string_view suffix);
+
+// Command-line flag with a value: accepts "--flag value" and "--flag=value"
+// at argv[*i]; on match stores the value and advances *i past a separate
+// value argument.
+bool FlagValue(int argc, char** argv, int* i, const char* flag,
+               std::string* value);
 
 // Parses a signed integer with optional 0x/0b prefix and leading '-'.
 std::optional<std::int64_t> ParseInt(std::string_view text);

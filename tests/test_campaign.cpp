@@ -107,9 +107,7 @@ TEST(CampaignSpecTest, VariantAndDefenseNamesRoundTrip) {
   }
   core::SystemVariant variant;
   EXPECT_FALSE(campaign::ParseVariant("turbo", &variant));
-  for (core::Defense defense :
-       {core::Defense::kNone, core::Defense::kVCall, core::Defense::kVTint,
-        core::Defense::kICall, core::Defense::kClassicCfi}) {
+  for (core::Defense defense : core::kAllDefenses) {
     core::Defense parsed;
     ASSERT_TRUE(campaign::ParseDefense(core::DefenseName(defense), &parsed));
     EXPECT_EQ(parsed, defense);

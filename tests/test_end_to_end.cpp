@@ -90,9 +90,7 @@ TEST_P(EndToEndTest, HardenedProgramStillComputes42) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllDefenses, EndToEndTest,
-                         ::testing::Values(Defense::kNone, Defense::kVCall,
-                                           Defense::kVTint, Defense::kICall,
-                                           Defense::kClassicCfi),
+                         ::testing::ValuesIn(core::kAllDefenses),
                          [](const auto& info) {
                            return std::string(
                                core::DefenseName(info.param));

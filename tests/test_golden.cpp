@@ -73,10 +73,6 @@ void ExpectRows(const std::vector<std::string>& actual,
   }
 }
 
-constexpr core::Defense kDefenses[] = {
-    core::Defense::kNone, core::Defense::kVCall, core::Defense::kVTint,
-    core::Defense::kICall, core::Defense::kClassicCfi};
-
 TEST(GoldenRunTest, SpecLikeWorkloadsOnOneHart) {
   const std::vector<std::string> expected = {
       "401.bzip2_like/none/h1 cycles=329033 instret=100107 exit=4 peak_kib=16668 digest=05af5fe4ab6147ce",
@@ -98,7 +94,7 @@ TEST(GoldenRunTest, SpecLikeWorkloadsOnOneHart) {
       if (candidate.name == name) spec = &candidate;
     }
     ASSERT_NE(spec, nullptr) << name;
-    for (const core::Defense defense : kDefenses) {
+    for (const core::Defense defense : core::kAllDefenses) {
       const core::BuildResult build = MustBuild(*spec, defense);
       actual.push_back(RunRow(
           StrFormat("%s/%s/h1", name,
@@ -205,11 +201,7 @@ TEST(GoldenRunTest, AttacksAtOneAndFourHarts) {
       "fnptr-reuse-same-type/ICall/h4 diverted:in-allowlist hart=0 exit=44 digest=9cc1fb5acbbce60f",
   };
   std::vector<std::string> actual;
-  for (const sec::AttackKind kind :
-       {sec::AttackKind::kVtableInjection,
-        sec::AttackKind::kVtableReuseCrossHierarchy,
-        sec::AttackKind::kFnPtrCorruptToEvil,
-        sec::AttackKind::kFnPtrReuseSameType}) {
+  for (const sec::AttackKind kind : sec::kAttackKinds) {
     for (const core::Defense defense :
          {core::Defense::kNone, core::Defense::kICall}) {
       for (const unsigned harts : {1u, 4u}) {

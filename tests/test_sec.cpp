@@ -1,18 +1,32 @@
 // Security-harness tests: the full attack/defense outcome matrix of
-// Section V-C2 as executable assertions, plus the Section V-D residual
-// surface and the fault-attribution details.
+// Section V-C2, each cell checked against sec::PaperOutcome, plus the
+// Section V-D residual surface and the fault-attribution details.
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "sec/attack.h"
 
 namespace roload::sec {
 namespace {
 
+// `expected` is sec::PaperOutcome of the cell, carried in the parameter
+// so each case's ctest name shows the verdict it asserts.
 struct MatrixCase {
   AttackKind attack;
   core::Defense defense;
   AttackOutcome expected;
 };
+
+std::vector<MatrixCase> AllMatrixCases() {
+  std::vector<MatrixCase> cases;
+  for (AttackKind attack : kAttackKinds) {
+    for (core::Defense defense : core::kAllDefenses) {
+      cases.push_back({attack, defense, PaperOutcome(attack, defense)});
+    }
+  }
+  return cases;
+}
 
 class SecurityMatrixTest : public ::testing::TestWithParam<MatrixCase> {};
 
@@ -21,50 +35,13 @@ TEST_P(SecurityMatrixTest, OutcomeMatchesPaperClaim) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->outcome, GetParam().expected)
       << AttackKindName(GetParam().attack) << " vs "
-      << core::DefenseName(GetParam().defense);
+      << core::DefenseName(GetParam().defense) << ": got "
+      << AttackOutcomeName(result->outcome) << ", paper says "
+      << AttackOutcomeName(GetParam().expected);
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    PaperClaims, SecurityMatrixTest,
-    ::testing::Values(
-        // Undefended: both hijack primitives work.
-        MatrixCase{AttackKind::kVtableInjection, core::Defense::kNone,
-                   AttackOutcome::kHijacked},
-        MatrixCase{AttackKind::kFnPtrCorruptToEvil, core::Defense::kNone,
-                   AttackOutcome::kHijacked},
-        // VCall (Section IV-A): blocks injection AND cross-hierarchy reuse.
-        MatrixCase{AttackKind::kVtableInjection, core::Defense::kVCall,
-                   AttackOutcome::kBlocked},
-        MatrixCase{AttackKind::kVtableReuseCrossHierarchy,
-                   core::Defense::kVCall, AttackOutcome::kBlocked},
-        // VTint blocks injection but not reuse (VCall strictly stronger).
-        MatrixCase{AttackKind::kVtableInjection, core::Defense::kVTint,
-                   AttackOutcome::kBlocked},
-        MatrixCase{AttackKind::kVtableReuseCrossHierarchy,
-                   core::Defense::kVTint, AttackOutcome::kDiverted},
-        // VCall/VTint do not cover plain function pointers.
-        MatrixCase{AttackKind::kFnPtrCorruptToEvil, core::Defense::kVCall,
-                   AttackOutcome::kHijacked},
-        MatrixCase{AttackKind::kFnPtrCorruptToEvil, core::Defense::kVTint,
-                   AttackOutcome::kHijacked},
-        // ICall (Section IV-B): blocks raw-address hijack; unified vtable
-        // key admits cross-hierarchy vtable reuse; same-type GFPT reuse is
-        // the designed residual surface (Section V-D).
-        MatrixCase{AttackKind::kVtableInjection, core::Defense::kICall,
-                   AttackOutcome::kBlocked},
-        MatrixCase{AttackKind::kFnPtrCorruptToEvil, core::Defense::kICall,
-                   AttackOutcome::kBlocked},
-        MatrixCase{AttackKind::kVtableReuseCrossHierarchy,
-                   core::Defense::kICall, AttackOutcome::kDiverted},
-        MatrixCase{AttackKind::kFnPtrReuseSameType, core::Defense::kICall,
-                   AttackOutcome::kDiverted},
-        // Classic label CFI: blocks wrong-type targets, allows same-type.
-        MatrixCase{AttackKind::kVtableInjection, core::Defense::kClassicCfi,
-                   AttackOutcome::kBlocked},
-        MatrixCase{AttackKind::kFnPtrCorruptToEvil,
-                   core::Defense::kClassicCfi, AttackOutcome::kBlocked},
-        MatrixCase{AttackKind::kFnPtrReuseSameType,
-                   core::Defense::kClassicCfi, AttackOutcome::kDiverted}),
+    PaperClaims, SecurityMatrixTest, ::testing::ValuesIn(AllMatrixCases()),
     [](const auto& info) {
       std::string name =
           std::string(AttackKindName(info.param.attack)) + "_vs_" +
@@ -98,9 +75,7 @@ TEST(AttackDetailTest, VictimRunsCleanlyUnderEveryDefense) {
   // Sanity for the harness itself: without an attack the victim exits
   // normally under all defenses (checked internally by RunAttackSmp, which
   // errors out otherwise — exercise one defense per family here).
-  for (core::Defense defense :
-       {core::Defense::kNone, core::Defense::kVCall, core::Defense::kVTint,
-        core::Defense::kICall, core::Defense::kClassicCfi}) {
+  for (core::Defense defense : core::kAllDefenses) {
     auto result = RunAttackSmp(AttackKind::kFnPtrReuseSameType, defense);
     EXPECT_TRUE(result.ok()) << core::DefenseName(defense) << ": "
                              << result.status().ToString();

@@ -287,16 +287,19 @@ TEST(TraceSystemTest, EventStreamIsChronologicalAndTyped) {
   ASSERT_EQ(result.kind, kernel::ExitKind::kExited);
 
   ASSERT_GT(sink.events.size(), 0u);
-  bool saw_retire = false, saw_syscall = false, saw_tlb_fill = false;
+  std::uint64_t retires = 0;
+  bool saw_syscall = false, saw_tlb_fill = false;
   std::uint64_t last_cycle = 0;
   for (const TraceEvent& event : sink.events) {
     EXPECT_GE(event.cycle, last_cycle);
     last_cycle = event.cycle;
-    saw_retire |= event.type == EventType::kRetire;
+    retires += event.type == EventType::kRetire;
     saw_syscall |= event.type == EventType::kSyscall;
     saw_tlb_fill |= event.type == EventType::kTlbFill;
   }
-  EXPECT_TRUE(saw_retire);
+  // One retire event per retired instruction, the exit ecall included.
+  EXPECT_EQ(system.cpu().stats().instructions, 8u);
+  EXPECT_EQ(retires, system.cpu().stats().instructions);
   EXPECT_TRUE(saw_syscall);
   EXPECT_TRUE(saw_tlb_fill);
 }

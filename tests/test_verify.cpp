@@ -111,6 +111,16 @@ struct CleanCase {
   bool compressed;
 };
 
+std::vector<CleanCase> AllCleanCases() {
+  std::vector<CleanCase> cases;
+  for (bool compressed : {false, true}) {
+    for (core::Defense defense : core::kAllDefenses) {
+      cases.push_back({defense, compressed});
+    }
+  }
+  return cases;
+}
+
 class CleanSuiteTest : public ::testing::TestWithParam<CleanCase> {};
 
 TEST_P(CleanSuiteTest, AllBenchmarksVerify) {
@@ -141,16 +151,7 @@ TEST_P(CleanSuiteTest, AllBenchmarksVerify) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllDefenses, CleanSuiteTest,
-    ::testing::Values(CleanCase{core::Defense::kNone, false},
-                      CleanCase{core::Defense::kVCall, false},
-                      CleanCase{core::Defense::kVTint, false},
-                      CleanCase{core::Defense::kICall, false},
-                      CleanCase{core::Defense::kClassicCfi, false},
-                      CleanCase{core::Defense::kNone, true},
-                      CleanCase{core::Defense::kVCall, true},
-                      CleanCase{core::Defense::kVTint, true},
-                      CleanCase{core::Defense::kICall, true},
-                      CleanCase{core::Defense::kClassicCfi, true}),
+    ::testing::ValuesIn(AllCleanCases()),
     [](const auto& info) {
       return std::string(core::DefenseName(info.param.defense)) +
              (info.param.compressed ? "_compressed" : "");
@@ -158,9 +159,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(CleanVerifyTest, VictimModuleVerifiesUnderEveryDefense) {
   const ir::Module victim = sec::MakeVictimModule();
-  for (core::Defense defense :
-       {core::Defense::kNone, core::Defense::kVCall, core::Defense::kVTint,
-        core::Defense::kICall, core::Defense::kClassicCfi}) {
+  for (core::Defense defense : core::kAllDefenses) {
     const Report report = core::Verify(MustBuild(victim, defense));
     EXPECT_TRUE(report.ok())
         << core::DefenseName(defense) << ":\n" << report.ToText();

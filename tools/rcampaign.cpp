@@ -104,21 +104,6 @@ int EmitImages(const campaign::CampaignSpec& spec, const std::string& dir,
   return failed == 0 ? 0 : 1;
 }
 
-bool FlagValue(int argc, char** argv, int* i, const char* flag,
-               std::string* value) {
-  const std::string arg = argv[*i];
-  const std::string prefix = std::string(flag) + "=";
-  if (StartsWith(arg, prefix)) {
-    *value = arg.substr(prefix.size());
-    return true;
-  }
-  if (arg == flag && *i + 1 < argc) {
-    *value = argv[++*i];
-    return true;
-  }
-  return false;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {

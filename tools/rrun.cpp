@@ -93,23 +93,6 @@ int Usage() {
   return 2;
 }
 
-// Accepts "--flag value" and "--flag=value"; on match stores the value and
-// advances *i past a separate value argument.
-bool FlagValue(int argc, char** argv, int* i, const char* flag,
-               std::string* value) {
-  const std::string arg = argv[*i];
-  const std::string prefix = std::string(flag) + "=";
-  if (StartsWith(arg, prefix)) {
-    *value = arg.substr(prefix.size());
-    return true;
-  }
-  if (arg == flag && *i + 1 < argc) {
-    *value = argv[++*i];
-    return true;
-  }
-  return false;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
