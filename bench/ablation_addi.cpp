@@ -13,7 +13,7 @@
 using namespace roload;
 
 int main() {
-  const double scale = bench::BenchScale();
+  const double scale = campaign::ScaleFromEnv(0.5);
 
   campaign::CampaignSpec grid;
   grid.name = "ablation_addi";
@@ -28,7 +28,7 @@ int main() {
   narrow.build.vcall.key_groups = 16;  // keys must fit 5 bits for c.ld.ro
   grid.configs = {wide, narrow};
   const campaign::CampaignResult result =
-      campaign::Run(grid, {.jobs = bench::BenchJobs()});
+      campaign::Run(grid, {.jobs = campaign::JobsFromEnv()});
   if (bench::ReportFaults(result)) return 1;
 
   std::printf("Ablation: ld.ro offset-drop cost and c.ld.ro size win "

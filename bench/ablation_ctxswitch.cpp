@@ -72,7 +72,7 @@ int main() {
   trace::TelemetrySession session("ablation_ctxswitch");
 
   const std::vector<ImageCell> images = campaign::ParallelMap<ImageCell>(
-      kProcs, bench::BenchJobs(), [&](std::size_t p) {
+      kProcs, campaign::JobsFromEnv(), [&](std::size_t p) {
         ImageCell cell;
         auto image = asmtool::Assemble(
             Worker(static_cast<unsigned>(p) + 1,

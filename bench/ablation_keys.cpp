@@ -24,7 +24,7 @@ std::string GroupLabel(unsigned groups) {
 }  // namespace
 
 int main() {
-  const double scale = bench::BenchScale();
+  const double scale = campaign::ScaleFromEnv(0.5);
 
   campaign::CampaignSpec grid;
   grid.name = "ablation_keys";
@@ -38,7 +38,7 @@ int main() {
     grid.configs.push_back(config);
   }
   const campaign::CampaignResult result =
-      campaign::Run(grid, {.jobs = bench::BenchJobs()});
+      campaign::Run(grid, {.jobs = campaign::JobsFromEnv()});
   if (bench::ReportFaults(result)) return 1;
 
   std::printf("Ablation: VCall key groups vs overhead (scale=%.2f)\n\n",
@@ -47,22 +47,20 @@ int main() {
               "key groups", "time%", "mem%", "ld.ro runs");
   bench::PrintRule(76);
 
+  const campaign::FigureValues values = campaign::FigureValuesOf(result);
   for (const auto& spec : grid.workloads) {
-    const auto& base = bench::MustMetrics(result, spec.name, "none");
+    const auto& base = result.MetricsOf(spec.name, "none");
     for (unsigned groups : kKeyGroups) {
-      const auto& metrics =
-          bench::MustMetrics(result, spec.name, GroupLabel(groups));
+      const auto& metrics = result.MetricsOf(spec.name, GroupLabel(groups));
       if (metrics.exit_code != base.exit_code) {
         std::fprintf(stderr, "hardened run failed/diverged\n");
         return 1;
       }
+      const std::string key = spec.name + ".vcall/g" + std::to_string(groups);
       std::printf("%-24s | %10u | %8.3f | %9.4f | %10llu\n",
                   spec.name.c_str(), groups,
-                  core::OverheadPercent(static_cast<double>(base.cycles),
-                                        static_cast<double>(metrics.cycles)),
-                  core::OverheadPercent(
-                      static_cast<double>(base.peak_mem_kib),
-                      static_cast<double>(metrics.peak_mem_kib)),
+                  campaign::ValueOf(values, key + "_time_pct"),
+                  campaign::ValueOf(values, key + "_mem_pct"),
                   static_cast<unsigned long long>(metrics.roload_loads));
     }
     bench::PrintRule(76);

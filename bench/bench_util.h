@@ -1,51 +1,25 @@
-// Shared helpers for the table/figure reproduction binaries. The grid
-// loops that used to live here moved into src/campaign; what remains is
-// environment plumbing, table cosmetics, and the BENCH_<name>.json
-// writer.
+// Shared helpers for the table/figure reproduction binaries. The grids,
+// their overheads and the paper's claims live in src/campaign; what
+// remains is table cosmetics, the claim gate, the RPC under-load rows and
+// the BENCH_<name>.json writer.
 #pragma once
 
+#include <algorithm>
+#include <cctype>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "campaign/env.h"
+#include "campaign/figures.h"
 #include "campaign/runner.h"
 #include "core/toolchain.h"
 #include "trace/session.h"
 #include "workloads/spec_like.h"
 
 namespace roload::bench {
-
-// Workload scale: multiplies hot-loop iteration counts. Override with the
-// ROLOAD_BENCH_SCALE environment variable (1.0 ~ a few million simulated
-// instructions per benchmark; the paper's runs are ~6 days of FPGA time,
-// ours are seconds of simulation — all reported numbers are relative).
-// Parsing is strict: a garbage value warns and keeps the default.
-inline double BenchScale(double default_scale = 0.5) {
-  return campaign::ScaleFromEnv(default_scale);
-}
-
-// When set (ROLOAD_BENCH_PROFILE=1), the figure benches run with the
-// cycle-attribution profiler attached and print/record the overhead
-// decomposition (TLB walks vs cache misses vs the ld.ro path) next to the
-// totals. Profiling is observational: the measured cycles are identical.
-inline bool BenchProfileEnabled() { return campaign::ProfileFromEnv(); }
-
-// Campaign worker count (ROLOAD_BENCH_JOBS, default: one per hardware
-// thread). Simulated results are bit-identical at any job count; this
-// only trades host wall-clock.
-inline unsigned BenchJobs() { return campaign::JobsFromEnv(0); }
-
-// Wall-clock repeat count for host-speed measurements
-// (ROLOAD_BENCH_REPEATS): each cell re-runs N times and the reported
-// MIPS is the median. Simulated results are identical across reps by
-// construction; the repeats only tame host scheduler noise.
-inline unsigned BenchRepeats(unsigned default_repeats = 2) {
-  return campaign::RepeatsFromEnv(default_repeats);
-}
 
 // Prints every faulting run of a campaign; returns true when any faulted
 // (benches exit nonzero — they have no meaningful recovery).
@@ -58,26 +32,6 @@ inline bool ReportFaults(const campaign::CampaignResult& result) {
     any = true;
   }
   return any;
-}
-
-// The metrics of one clean campaign run; aborts the process when the run
-// is missing or faulted (callers gate on ReportFaults first, so this only
-// trips on a label typo).
-inline const core::RunMetrics& MustMetrics(
-    const campaign::CampaignResult& result, std::string_view workload,
-    std::string_view config,
-    core::SystemVariant variant = core::SystemVariant::kFullRoload) {
-  const campaign::RunOutcome* outcome =
-      result.Find(workload, config, variant);
-  if (outcome == nullptr || !outcome->ok()) {
-    std::fprintf(stderr, "bench: no clean run %.*s/%.*s/%.*s\n",
-                 static_cast<int>(workload.size()), workload.data(),
-                 static_cast<int>(config.size()), config.data(),
-                 static_cast<int>(campaign::VariantName(variant).size()),
-                 campaign::VariantName(variant).data());
-    std::exit(1);
-  }
-  return outcome->metrics;
 }
 
 inline void PrintRule(int width = 100) {
@@ -121,6 +75,80 @@ inline void RecordProfileDelta(trace::TelemetrySession* session,
     }
   }
   std::printf("\n");
+}
+
+// Records a figure's values and the paper's ("paper.*") in `session`,
+// prints how many of the figure's claims hold and each failed claim by id;
+// false when any fails (the bench then exits 1). Recording a key again
+// keeps its value, so two figures may gate on one value set.
+inline bool GateClaims(campaign::Figure figure,
+                       const campaign::FigureValues& values,
+                       trace::TelemetrySession* session) {
+  for (const auto& [key, value] : values) session->Record(key, value);
+  for (const auto& [key, value] : campaign::PaperValues(figure)) {
+    session->Record(key, value);
+  }
+  const auto failed = campaign::FailedClaims(figure, values);
+  for (const campaign::Claim* claim : failed) {
+    std::fprintf(stderr, "claim FAILED: %s\n",
+                 campaign::DescribeClaim(*claim, values).c_str());
+  }
+  const std::size_t total = campaign::ClaimsOf(figure).size();
+  std::printf("%s: %zu of %zu paper claims hold\n",
+              std::string(campaign::FigureSection(figure)).c_str(),
+              total - failed.size(), total);
+  return failed.empty();
+}
+
+// Under load: a figure's two defenses (configs 1 and 2 of `grid`) on the
+// RPC dispatch server, requests spread across 1/2/4 harts. The paper
+// measures batch SPEC runs only; every request here takes a vcall-heavy
+// handler behind an indirect-call middleware slot on its own hart, behind
+// the shared L2. Prints one row per hart count and records
+// "underload.h<N>.base_cycles" and "underload.h<N>.<defense>_time_pct";
+// false when a run faulted.
+inline bool RunUnderLoad(const campaign::CampaignSpec& grid, double scale,
+                         trace::TelemetrySession* session) {
+  campaign::CampaignSpec load;
+  load.name = grid.name + "_underload";
+  load.workloads = {workloads::RpcServerWorkload(std::max<std::uint64_t>(
+      200, static_cast<std::uint64_t>(1200 * scale)))};
+  load.configs = grid.configs;
+  load.harts = {1, 2, 4};
+  const campaign::CampaignResult under =
+      campaign::Run(load, {.jobs = campaign::JobsFromEnv()});
+  if (ReportFaults(under)) return false;
+
+  const std::string& workload = load.workloads.front().name;
+  const std::string defenses[] = {load.configs[1].label,
+                                  load.configs[2].label};
+  std::printf("\nUnder load: RPC dispatch server, requests spread across "
+              "harts\n\n");
+  std::printf("%-24s | %12s | %8s %8s\n", workload.c_str(), "base cycles",
+              (defenses[0] + "%").c_str(), (defenses[1] + "%").c_str());
+  PrintRule(64);
+  for (unsigned harts : load.harts) {
+    auto cycles = [&](const std::string& config) {
+      return under
+          .MetricsOf(workload, config, core::SystemVariant::kFullRoload, harts)
+          .cycles;
+    };
+    const std::uint64_t base = cycles("none");
+    const std::string prefix = "underload.h" + std::to_string(harts) + ".";
+    session->Record(prefix + "base_cycles", base);
+    double pct[2];
+    for (int i = 0; i < 2; ++i) {
+      pct[i] = core::OverheadPercent(static_cast<double>(base),
+                                     static_cast<double>(cycles(defenses[i])));
+      std::string key = defenses[i];
+      for (char& ch : key) ch = static_cast<char>(std::tolower(ch));
+      session->Record(prefix + key + "_time_pct", pct[i]);
+    }
+    std::printf("%-24s | %12llu | %8.3f %8.3f\n",
+                ("harts=" + std::to_string(harts)).c_str(),
+                static_cast<unsigned long long>(base), pct[0], pct[1]);
+  }
+  return true;
 }
 
 // Writes the session as BENCH_<name>.json in the working directory — the

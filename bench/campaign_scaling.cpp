@@ -23,9 +23,9 @@ double Seconds(std::chrono::steady_clock::duration d) {
 }  // namespace
 
 int main() {
-  const double scale = bench::BenchScale(0.2);
+  const double scale = campaign::ScaleFromEnv(0.2);
   const unsigned hw = std::thread::hardware_concurrency();
-  unsigned jobs = bench::BenchJobs();
+  unsigned jobs = campaign::JobsFromEnv();
   if (jobs == 0) jobs = hw == 0 ? 1 : hw;
 
   campaign::CampaignSpec grid;

@@ -1,34 +1,28 @@
-// Figure 4: relative runtime overheads of ICall (ROLoad type-based
-// forward-edge CFI) and its ported software competitor (label-based CFI)
-// on the full SPEC CINT2006 suite.
-//
-// Paper result: ICall averages almost zero; CFI averages 9.073%. Expected
-// shape: ICall under ~1% everywhere; CFI an order of magnitude above it,
-// highest on the indirect-call-heavy benchmarks.
-#include <algorithm>
-#include <cstdint>
+// Figures 4 and 5: relative runtime (Fig. 4) and memory (Fig. 5) overheads
+// of ICall (ROLoad type-based forward-edge CFI) and its ported software
+// competitor (label-based CFI) on the full SPEC CINT2006 suite. Both
+// figures read the same grid (campaign::Figure::kFig4/kFig5), which runs
+// once; the bench exits 1 when a claim of either fails.
 #include <cstdio>
-#include <string>
 
 #include "bench/bench_util.h"
-#include "campaign/spec.h"
 
 using namespace roload;
 
 int main() {
-  const double scale = bench::BenchScale();
-  const bool profile = bench::BenchProfileEnabled();
+  const double scale = campaign::ScaleFromEnv(0.5);
+  const bool profile = campaign::ProfileFromEnv();
+  using campaign::Figure;
 
-  campaign::CampaignSpec grid;
-  grid.name = "fig4_icall_runtime";
-  grid.workloads = workloads::SpecCint2006Suite(scale);
-  grid.configs = {campaign::ForDefense(core::Defense::kNone),
-                  campaign::ForDefense(core::Defense::kICall),
-                  campaign::ForDefense(core::Defense::kClassicCfi)};
+  campaign::CampaignSpec grid = campaign::FigureGrid(Figure::kFig4, scale);
   grid.profile = profile;
   const campaign::CampaignResult result =
-      campaign::Run(grid, {.jobs = bench::BenchJobs()});
+      campaign::Run(grid, {.jobs = campaign::JobsFromEnv()});
   if (bench::ReportFaults(result)) return 1;
+  const campaign::FigureValues values = campaign::FigureValuesOf(result);
+  const campaign::FigureValues paper = campaign::PaperValues(Figure::kFig4);
+  const campaign::FigureValues paper_memory =
+      campaign::PaperValues(Figure::kFig5);
 
   std::printf("Figure 4: ICall vs CFI runtime overheads (scale=%.2f%s)\n\n",
               scale, profile ? ", profiled" : "");
@@ -36,95 +30,61 @@ int main() {
               "ICall%", "CFI%");
   bench::PrintRule(64);
 
-  trace::TelemetrySession session("fig4_icall_runtime");
+  trace::TelemetrySession session(grid.name);
   result.FillSession(&session);
   session.Record("scale", scale);
-  double time_icall = 0, time_cfi = 0;
-  int count = 0;
   for (const auto& spec : grid.workloads) {
-    const auto& base = bench::MustMetrics(result, spec.name, "none");
-    const auto& icall = bench::MustMetrics(result, spec.name, "ICall");
-    const auto& cfi = bench::MustMetrics(result, spec.name, "CFI");
-    const double t_ic = core::OverheadPercent(
-        static_cast<double>(base.cycles), static_cast<double>(icall.cycles));
-    const double t_cfi = core::OverheadPercent(
-        static_cast<double>(base.cycles), static_cast<double>(cfi.cycles));
+    const auto& base = result.MetricsOf(spec.name, "none");
+    const auto& icall = result.MetricsOf(spec.name, "ICall");
     std::printf("%-24s | %12llu | %8.3f %8.3f\n", spec.name.c_str(),
-                static_cast<unsigned long long>(base.cycles), t_ic, t_cfi);
+                static_cast<unsigned long long>(base.cycles),
+                campaign::ValueOf(values, spec.name + ".icall_time_pct"),
+                campaign::ValueOf(values, spec.name + ".cfi_time_pct"));
     session.Record(spec.name + ".base_cycles", base.cycles);
-    session.Record(spec.name + ".icall_time_pct", t_ic);
-    session.Record(spec.name + ".cfi_time_pct", t_cfi);
     session.Record(spec.name + ".icall_roload_loads", icall.roload_loads);
     session.Record(spec.name + ".icall_key_checks",
                    icall.Counter("tlb.d.key_check"));
     if (profile) {
       bench::RecordProfileDelta(&session, spec.name + ".icall", base, icall);
-      bench::RecordProfileDelta(&session, spec.name + ".cfi", base, cfi);
+      bench::RecordProfileDelta(&session, spec.name + ".cfi", base,
+                                result.MetricsOf(spec.name, "CFI"));
     }
-    time_icall += t_ic;
-    time_cfi += t_cfi;
-    ++count;
   }
   bench::PrintRule(64);
   std::printf("%-24s | %12s | %8.3f %8.3f\n", "average", "",
-              time_icall / count, time_cfi / count);
+              campaign::ValueOf(values, "average.icall_time_pct"),
+              campaign::ValueOf(values, "average.cfi_time_pct"));
+  // The paper gives ICall's average only as "almost zero".
   std::printf("%-24s | %12s | %8s %8.3f\n", "paper (DAC'21)", "", "~0",
-              9.073);
-  session.Record("average.icall_time_pct", time_icall / count);
-  session.Record("average.cfi_time_pct", time_cfi / count);
-  session.Record("paper.cfi_time_pct", 9.073);
+              campaign::ValueOf(paper, "paper.cfi_time_pct"));
+  bool claims_hold = bench::GateClaims(Figure::kFig4, values, &session);
 
-  // Under load: ICall vs classic CFI on the RPC dispatch server,
-  // requests spread across 1/2/4 harts. Every request walks
-  // an indirect-call middleware table, so the fnptr-dispatch density is
-  // far above the batch SPEC rows — the CFI gap widens while ICall stays
-  // near zero.
-  campaign::CampaignSpec load;
-  load.name = "fig4_icall_underload";
-  load.workloads = {workloads::RpcServerWorkload(std::max<std::uint64_t>(
-      200, static_cast<std::uint64_t>(1200 * scale)))};
-  load.configs = grid.configs;
-  load.harts = {1, 2, 4};
-  const campaign::CampaignResult under =
-      campaign::Run(load, {.jobs = bench::BenchJobs()});
-  if (bench::ReportFaults(under)) return 1;
+  if (!bench::RunUnderLoad(grid, scale, &session)) return 1;
 
-  std::printf("\nUnder load: RPC dispatch server, requests spread across "
-              "harts\n\n");
-  std::printf("%-24s | %12s | %8s %8s\n", "rpc_server", "base cycles",
-              "ICall%", "CFI%");
+  std::printf("\nFigure 5: ICall vs CFI memory overheads (scale=%.2f)\n\n",
+              scale);
+  std::printf("%-24s | %12s | %9s %9s\n", "benchmark", "base KiB",
+              "ICall m%", "CFI m%");
   bench::PrintRule(64);
-  for (unsigned harts : load.harts) {
-    const std::string suffix =
-        harts == 1 ? "" : "/h" + std::to_string(harts);
-    auto must = [&](const char* cfg) -> const core::RunMetrics& {
-      const std::string name =
-          std::string("rpc_server/") + cfg + "/full" + suffix;
-      const campaign::RunOutcome* outcome = under.Find(name);
-      if (outcome == nullptr || !outcome->ok()) {
-        std::fprintf(stderr, "bench: no clean run %s\n", name.c_str());
-        std::exit(1);
-      }
-      return outcome->metrics;
-    };
-    const auto& base = must("none");
-    const auto& icall = must("ICall");
-    const auto& cfi = must("CFI");
-    const double t_ic = core::OverheadPercent(
-        static_cast<double>(base.cycles), static_cast<double>(icall.cycles));
-    const double t_cfi = core::OverheadPercent(
-        static_cast<double>(base.cycles), static_cast<double>(cfi.cycles));
-    const std::string row = "harts=" + std::to_string(harts);
-    std::printf("%-24s | %12llu | %8.3f %8.3f\n", row.c_str(),
-                static_cast<unsigned long long>(base.cycles), t_ic, t_cfi);
-    session.Record("underload.h" + std::to_string(harts) + ".base_cycles",
-                   base.cycles);
-    session.Record("underload.h" + std::to_string(harts) +
-                       ".icall_time_pct", t_ic);
-    session.Record("underload.h" + std::to_string(harts) +
-                       ".cfi_time_pct", t_cfi);
+  for (const auto& spec : grid.workloads) {
+    const auto& base = result.MetricsOf(spec.name, "none");
+    std::printf("%-24s | %12llu | %9.4f %9.4f\n", spec.name.c_str(),
+                static_cast<unsigned long long>(base.peak_mem_kib),
+                campaign::ValueOf(values, spec.name + ".icall_mem_pct"),
+                campaign::ValueOf(values, spec.name + ".cfi_mem_pct"));
+    session.Record(spec.name + ".base_kib", base.peak_mem_kib);
+    session.Record(spec.name + ".icall_image_bytes",
+                   result.MetricsOf(spec.name, "ICall").image_bytes);
   }
+  bench::PrintRule(64);
+  std::printf("%-24s | %12s | %9.4f %9.4f\n", "average", "",
+              campaign::ValueOf(values, "average.icall_mem_pct"),
+              campaign::ValueOf(values, "average.cfi_mem_pct"));
+  std::printf("%-24s | %12s | %9.4f %9.4f\n", "paper (DAC'21)", "",
+              campaign::ValueOf(paper_memory, "paper.icall_mem_pct"),
+              campaign::ValueOf(paper_memory, "paper.cfi_mem_pct"));
+  claims_hold &= bench::GateClaims(Figure::kFig5, values, &session);
 
   bench::WriteBenchJson(session);
-  return 0;
+  return claims_hold ? 0 : 1;
 }

@@ -175,8 +175,8 @@ void PrintAggregate(const char* name, const SuiteTotals& totals) {
 }  // namespace
 
 int main() {
-  const double scale = bench::BenchScale();
-  const unsigned reps = bench::BenchRepeats(2);  // median-of-N per tier
+  const double scale = campaign::ScaleFromEnv(0.5);
+  const unsigned reps = campaign::RepeatsFromEnv(2);  // median-of-N per tier
   std::printf("Host throughput: simulated MIPS by execute tier "
               "(scale=%.2f, repeats=%u)\n\n", scale, reps);
   std::printf("%-28s | %8s %8s | %6s\n", "workload.defense", "interp",

@@ -1,32 +1,24 @@
 // Section V-B: overall performance / backward compatibility. Unmodified
 // (unhardened) SPEC binaries run on the three system variants: the
 // baseline system, the processor-modified system, and the
-// processor-and-kernel-modified system.
-//
-// Paper result: all benchmarks finish successfully on all three systems
-// and both modifications introduce ~0% runtime and memory overhead — a
-// system with ROLoad runs as fast as an unmodified system.
-#include <algorithm>
+// processor-and-kernel-modified system. The grid, the overheads and the
+// paper's claims come from campaign::Figure::kSecVB; the bench exits 1 when
+// a run's result differs across the systems or a claim fails.
 #include <cstdio>
 
 #include "bench/bench_util.h"
-#include "campaign/spec.h"
 
 using namespace roload;
 
 int main() {
-  const double scale = bench::BenchScale(0.3);
+  const double scale = campaign::ScaleFromEnv(0.3);
+  constexpr campaign::Figure kFigure = campaign::Figure::kSecVB;
 
-  campaign::CampaignSpec grid;
-  grid.name = "secVB_compat";
-  grid.workloads = workloads::SpecCint2006Suite(scale);
-  grid.configs = {campaign::ForDefense(core::Defense::kNone)};
-  grid.variants = {core::SystemVariant::kBaseline,
-                   core::SystemVariant::kProcessorModified,
-                   core::SystemVariant::kFullRoload};
+  const campaign::CampaignSpec grid = campaign::FigureGrid(kFigure, scale);
   const campaign::CampaignResult result =
-      campaign::Run(grid, {.jobs = bench::BenchJobs()});
+      campaign::Run(grid, {.jobs = campaign::JobsFromEnv()});
   if (bench::ReportFaults(result)) return 1;
+  const campaign::FigureValues values = campaign::FigureValuesOf(result);
 
   std::printf("Section V-B: system compatibility and overhead "
               "(scale=%.2f)\n\n", scale);
@@ -35,54 +27,39 @@ int main() {
               "proc+k m%");
   bench::PrintRule(92);
 
-  trace::TelemetrySession session("secVB_compat");
+  trace::TelemetrySession session(grid.name);
   result.FillSession(&session);
   session.Record("scale", scale);
-  double worst_time = 0, worst_mem = 0;
   for (const auto& spec : grid.workloads) {
-    const auto& base = bench::MustMetrics(result, spec.name, "none",
-                                          core::SystemVariant::kBaseline);
-    const auto& proc =
-        bench::MustMetrics(result, spec.name, "none",
-                           core::SystemVariant::kProcessorModified);
-    const auto& full = bench::MustMetrics(result, spec.name, "none",
-                                          core::SystemVariant::kFullRoload);
+    const auto& base = result.MetricsOf(spec.name, "none",
+                                        core::SystemVariant::kBaseline);
+    const auto& proc = result.MetricsOf(
+        spec.name, "none", core::SystemVariant::kProcessorModified);
+    const auto& full = result.MetricsOf(spec.name, "none");
     if (proc.exit_code != base.exit_code ||
         full.exit_code != base.exit_code) {
       std::printf("BACKWARD COMPATIBILITY BROKEN on %s\n",
                   spec.name.c_str());
       return 1;
     }
-    const double tp = core::OverheadPercent(
-        static_cast<double>(base.cycles), static_cast<double>(proc.cycles));
-    const double tf = core::OverheadPercent(
-        static_cast<double>(base.cycles), static_cast<double>(full.cycles));
-    const double mp =
-        core::OverheadPercent(static_cast<double>(base.peak_mem_kib),
-                              static_cast<double>(proc.peak_mem_kib));
-    const double mf =
-        core::OverheadPercent(static_cast<double>(base.peak_mem_kib),
-                              static_cast<double>(full.peak_mem_kib));
     std::printf("%-24s | %12llu | %10.4f %10.4f | %10.4f %10.4f\n",
                 spec.name.c_str(),
-                static_cast<unsigned long long>(base.cycles), tp, tf, mp,
-                mf);
+                static_cast<unsigned long long>(base.cycles),
+                campaign::ValueOf(values, spec.name + ".proc_time_pct"),
+                campaign::ValueOf(values, spec.name + ".full_time_pct"),
+                campaign::ValueOf(values, spec.name + ".proc_mem_pct"),
+                campaign::ValueOf(values, spec.name + ".full_mem_pct"));
     session.Record(spec.name + ".base_cycles", base.cycles);
-    session.Record(spec.name + ".proc_time_pct", tp);
-    session.Record(spec.name + ".full_time_pct", tf);
-    session.Record(spec.name + ".proc_mem_pct", mp);
-    session.Record(spec.name + ".full_mem_pct", mf);
-    worst_time = std::max({worst_time, tp, tf});
-    worst_mem = std::max({worst_mem, mp, mf});
   }
   bench::PrintRule(92);
   std::printf("All benchmarks finished successfully on all three systems "
               "(backward compatible).\n");
   std::printf("Worst runtime overhead: %.4f%%, worst memory overhead: "
-              "%.4f%% (paper: ~0%% for both).\n", worst_time, worst_mem);
-  session.Record("worst_time_pct", worst_time);
-  session.Record("worst_mem_pct", worst_mem);
+              "%.4f%% (paper: ~0%% for both).\n",
+              campaign::ValueOf(values, "worst_time_pct"),
+              campaign::ValueOf(values, "worst_mem_pct"));
+  const bool claims_hold = bench::GateClaims(kFigure, values, &session);
   session.Record("backward_compatible", std::string_view("yes"));
   bench::WriteBenchJson(session);
-  return 0;
+  return claims_hold ? 0 : 1;
 }

@@ -89,7 +89,7 @@ int main() {
   const std::size_t inject =
       add_table(load_defenses, kLoadHarts, kInjectHart);
   const std::vector<AttackCell> cells = campaign::ParallelMap<AttackCell>(
-      grid.size(), bench::BenchJobs(), [&grid](std::size_t i) {
+      grid.size(), campaign::JobsFromEnv(), [&grid](std::size_t i) {
         AttackCell cell = grid[i];
         auto run = sec::RunAttackSmp(cell.kind, cell.defense, cell.harts,
                                      core::SystemVariant::kFullRoload,

@@ -71,7 +71,7 @@ bool BitIdentical(const core::RunMetrics& a, const core::RunMetrics& b,
 }  // namespace
 
 int main() {
-  const double scale = bench::BenchScale();
+  const double scale = campaign::ScaleFromEnv(0.5);
   trace::TelemetrySession session("smp_scaling");
   session.Record("scale", scale);
 
@@ -122,20 +122,13 @@ int main() {
                   campaign::ForDefense(core::Defense::kVCall)};
   grid.harts = {1, 2, 4};
   const campaign::CampaignResult result =
-      campaign::Run(grid, {.jobs = bench::BenchJobs()});
+      campaign::Run(grid, {.jobs = campaign::JobsFromEnv()});
   if (bench::ReportFaults(result)) return 1;
 
   auto metrics = [&](core::Defense defense,
                      unsigned harts) -> const core::RunMetrics& {
-    std::string name = std::string("rpc_server/") +
-                       std::string(core::DefenseName(defense)) + "/full";
-    if (harts != 1) name += "/h" + std::to_string(harts);
-    const campaign::RunOutcome* outcome = result.Find(name);
-    if (outcome == nullptr || !outcome->ok()) {
-      std::fprintf(stderr, "bench: no clean run %s\n", name.c_str());
-      std::exit(1);
-    }
-    return outcome->metrics;
+    return result.MetricsOf(rpc.name, core::DefenseName(defense),
+                            core::SystemVariant::kFullRoload, harts);
   };
 
   std::printf("\n%-6s | %14s %8s | %14s %8s | %8s\n", "harts",

@@ -29,8 +29,10 @@ std::optional<unsigned> ParseJobs(std::string_view text);
 // garbage, trailing junk, zero or absurd counts.
 std::optional<unsigned> ParseRepeats(std::string_view text);
 
-// ROLOAD_BENCH_SCALE: workload-scale multiplier; warns and returns
-// `default_scale` when set to a rejected value.
+// ROLOAD_BENCH_SCALE: workload-scale multiplier on hot-loop iteration
+// counts (1.0 is a few million simulated instructions per benchmark;
+// every reported figure is relative). Warns and returns `default_scale`
+// when set to a rejected value.
 double ScaleFromEnv(double default_scale);
 
 // ROLOAD_BENCH_PROFILE: attach the cycle-attribution profiler; warns and

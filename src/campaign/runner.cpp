@@ -79,10 +79,25 @@ const RunOutcome* CampaignResult::Find(std::string_view name) const {
 
 const RunOutcome* CampaignResult::Find(std::string_view workload,
                                        std::string_view config,
-                                       core::SystemVariant variant) const {
-  const std::string name = std::string(workload) + "/" + std::string(config) +
-                           "/" + std::string(VariantName(variant));
+                                       core::SystemVariant variant,
+                                       unsigned harts) const {
+  std::string name = std::string(workload) + "/" + std::string(config) + "/" +
+                     std::string(VariantName(variant));
+  if (harts != 1) name += "/h" + std::to_string(harts);
   return Find(name);
+}
+
+const core::RunMetrics& CampaignResult::MetricsOf(std::string_view workload,
+                                                  std::string_view config,
+                                                  core::SystemVariant variant,
+                                                  unsigned harts) const {
+  const RunOutcome* outcome = Find(workload, config, variant, harts);
+  if (outcome == nullptr || !outcome->ok()) {
+    FatalError("campaign: no clean run " + std::string(workload) + "/" +
+               std::string(config) + "/" + std::string(VariantName(variant)) +
+               " on " + std::to_string(harts) + " hart(s)");
+  }
+  return outcome->metrics;
 }
 
 std::size_t CampaignResult::faults() const {

@@ -74,7 +74,15 @@ class CampaignResult {
   const RunOutcome* Find(std::string_view name) const;
   const RunOutcome* Find(std::string_view workload, std::string_view config,
                          core::SystemVariant variant =
-                             core::SystemVariant::kFullRoload) const;
+                             core::SystemVariant::kFullRoload,
+                         unsigned harts = 1) const;
+  // The metrics of one clean run; aborts when the run is missing or
+  // faulted (callers gate on faults() first, so this only trips on a label
+  // typo).
+  const core::RunMetrics& MetricsOf(
+      std::string_view workload, std::string_view config,
+      core::SystemVariant variant = core::SystemVariant::kFullRoload,
+      unsigned harts = 1) const;
 
   std::size_t faults() const;
   bool all_ok() const { return faults() == 0; }

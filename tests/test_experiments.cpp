@@ -1,10 +1,16 @@
-// Reproduction-guard integration tests: the paper's headline relationships
-// must hold on a reduced-scale run of the real experiment pipelines. If a
-// change to the simulator, passes, or workloads breaks a *shape* the paper
-// reports, these tests catch it before the bench binaries do.
+// Reproduction-guard integration tests: the paper's shape claims
+// (campaign/figures.h) must hold on a reduced-scale run of each figure's
+// own grid. If a change to the simulator, passes, or workloads breaks a
+// *shape* the paper reports, these tests catch it before the bench
+// binaries do. The claim table itself is checked against its figure
+// routine without simulating.
 #include <gtest/gtest.h>
 
-#include "backend/codegen.h"
+#include <cmath>
+#include <string_view>
+#include <vector>
+
+#include "campaign/figures.h"
 #include "core/toolchain.h"
 #include "hw/tlb_datapath.h"
 #include "tests/guest_util.h"
@@ -13,118 +19,116 @@
 namespace roload {
 namespace {
 
+using campaign::Figure;
+
 constexpr double kScale = 0.1;
+constexpr Figure kFigures[] = {Figure::kFig3, Figure::kFig4, Figure::kFig5,
+                               Figure::kSecVB, Figure::kTableIII};
 
-struct SuiteRun {
-  double vcall_time = 0, vtint_time = 0;     // C++ subset averages
-  double vcall_mem = 0, vtint_mem = 0;
-  double icall_time = 0, cfi_time = 0;       // full-suite averages
-  double icall_mem = 0, cfi_mem = 0;
-};
+// Fails the test once per claim of `figure` that `values` breaks, counting
+// only claims whose key contains `part`.
+void ExpectClaimsHold(Figure figure, const campaign::FigureValues& values,
+                      std::string_view part = {}) {
+  for (const campaign::Claim* claim : campaign::FailedClaims(figure, values)) {
+    if (claim->key.find(part) == std::string_view::npos) continue;
+    ADD_FAILURE() << campaign::DescribeClaim(*claim, values);
+  }
+}
 
-// One shared evaluation run for the whole fixture (expensive).
-const SuiteRun& RunSuiteOnce() {
-  static const SuiteRun run = [] {
-    SuiteRun out;
-    int cpp_count = 0, all_count = 0;
-    for (const auto& spec : workloads::SpecCint2006Suite(kScale)) {
-      const ir::Module module = workloads::Generate(spec);
-      auto measure = [&module](core::Defense defense) {
-        core::BuildOptions options;
-        options.defense = defense;
-        auto metrics = core::CompileAndRun(
-            module, options, core::SystemVariant::kFullRoload);
-        ROLOAD_CHECK(metrics.ok() && metrics->completed);
-        return *metrics;
-      };
-      const auto base = measure(core::Defense::kNone);
-      const auto icall = measure(core::Defense::kICall);
-      const auto cfi = measure(core::Defense::kClassicCfi);
-      auto pct = [](std::uint64_t base_v, std::uint64_t v) {
-        return core::OverheadPercent(static_cast<double>(base_v),
-                                     static_cast<double>(v));
-      };
-      out.icall_time += pct(base.cycles, icall.cycles);
-      out.cfi_time += pct(base.cycles, cfi.cycles);
-      out.icall_mem += pct(base.peak_mem_kib, icall.peak_mem_kib);
-      out.cfi_mem += pct(base.peak_mem_kib, cfi.peak_mem_kib);
-      ++all_count;
-      if (spec.is_cpp) {
-        const auto vcall = measure(core::Defense::kVCall);
-        const auto vtint = measure(core::Defense::kVTint);
-        out.vcall_time += pct(base.cycles, vcall.cycles);
-        out.vtint_time += pct(base.cycles, vtint.cycles);
-        out.vcall_mem += pct(base.peak_mem_kib, vcall.peak_mem_kib);
-        out.vtint_mem += pct(base.peak_mem_kib, vtint.peak_mem_kib);
-        ++cpp_count;
-      }
-    }
-    out.vcall_time /= cpp_count;
-    out.vtint_time /= cpp_count;
-    out.vcall_mem /= cpp_count;
-    out.vtint_mem /= cpp_count;
-    out.icall_time /= all_count;
-    out.cfi_time /= all_count;
-    out.icall_mem /= all_count;
-    out.cfi_mem /= all_count;
-    return out;
-  }();
-  return run;
+// `figure`'s own grid at kScale, through the figure routine.
+campaign::FigureValues RunFigure(Figure figure) {
+  return campaign::FigureValuesOf(
+      campaign::Run(campaign::FigureGrid(figure, kScale)));
 }
 
 TEST(PaperShapeTest, Fig3VCallIsNegligibleAndBeatsVTint) {
-  const SuiteRun& run = RunSuiteOnce();
-  EXPECT_LT(run.vcall_time, 0.5) << "paper: 0.303%";
-  EXPECT_GT(run.vtint_time, 1.0) << "paper: 2.750%";
-  EXPECT_LT(run.vcall_time, run.vtint_time / 4);
+  ExpectClaimsHold(Figure::kFig3, RunFigure(Figure::kFig3), "_time_");
 }
 
 TEST(PaperShapeTest, Fig3MemoryOrderingVTintAboveVCall) {
-  const SuiteRun& run = RunSuiteOnce();
-  EXPECT_LT(run.vcall_mem, 1.0);
-  EXPECT_LT(run.vtint_mem, 1.0);
-  EXPECT_LT(run.vcall_mem, run.vtint_mem)
-      << "VTint's code growth must exceed VCall's keyed pages";
+  ExpectClaimsHold(Figure::kFig3, RunFigure(Figure::kFig3), "_mem_");
 }
 
 TEST(PaperShapeTest, Fig4ICallFarCheaperThanClassicCfi) {
-  const SuiteRun& run = RunSuiteOnce();
-  EXPECT_LT(run.icall_time, 2.0) << "paper: ~0%";
-  EXPECT_GT(run.cfi_time, 3.0) << "paper: 9.073%";
-  EXPECT_LT(run.icall_time, run.cfi_time / 4);
+  ExpectClaimsHold(Figure::kFig4, RunFigure(Figure::kFig4));
 }
 
 TEST(PaperShapeTest, Fig5MemoryOrderingICallAboveCfi) {
-  const SuiteRun& run = RunSuiteOnce();
-  EXPECT_LT(run.icall_mem, 1.0);
-  EXPECT_LT(run.cfi_mem, 1.0);
-  EXPECT_GT(run.icall_mem, run.cfi_mem)
-      << "GFPT keyed pages must exceed CFI's code growth";
+  ExpectClaimsHold(Figure::kFig5, RunFigure(Figure::kFig5));
 }
 
 TEST(PaperShapeTest, SectionVBExactlyZeroOverhead) {
-  auto suite = workloads::SpecCint2006Suite(0.03);
-  const ir::Module module = workloads::Generate(suite[0]);
-  core::BuildOptions options;
-  auto base = core::CompileAndRun(module, options,
-                                  core::SystemVariant::kBaseline);
-  auto full = core::CompileAndRun(module, options,
-                                  core::SystemVariant::kFullRoload);
-  ASSERT_TRUE(base.ok());
-  ASSERT_TRUE(full.ok());
-  EXPECT_EQ(base->cycles, full->cycles);
-  EXPECT_EQ(base->peak_mem_kib, full->peak_mem_kib);
+  ExpectClaimsHold(Figure::kSecVB, RunFigure(Figure::kSecVB));
 }
 
 TEST(PaperShapeTest, TableIIIWithinPaperBound) {
-  const hw::TableIII table = hw::ComputeTableIII();
-  const double worst =
-      std::max({table.core_lut_increase_percent,
-                table.core_ff_increase_percent,
-                table.system_lut_increase_percent,
-                table.system_ff_increase_percent});
-  EXPECT_LT(worst, 3.32) << "the paper's headline bound";
-  EXPECT_GT(worst, 0.5) << "cost must be real, not zero";
+  ExpectClaimsHold(Figure::kTableIII,
+                   campaign::TableIIIValues(hw::ComputeTableIII()), "_pct");
+}
+
+// Every claim reads keys its figure emits, so a renamed key fails here
+// instead of passing silently. Grid figures run on a synthetic clean result
+// (every run identical), so nothing is simulated.
+TEST(ClaimTableTest, EveryClaimReadsAKeyItsFigureEmits) {
+  for (Figure figure : kFigures) {
+    campaign::FigureValues values =
+        campaign::TableIIIValues(hw::ComputeTableIII());
+    if (figure != Figure::kTableIII) {
+      const campaign::CampaignSpec grid = campaign::FigureGrid(figure, kScale);
+      std::vector<campaign::RunOutcome> outcomes;
+      for (const campaign::RunSpec& run : campaign::Expand(grid)) {
+        campaign::RunOutcome outcome;
+        outcome.name = run.name;
+        outcome.metrics.completed = true;
+        outcomes.push_back(std::move(outcome));
+      }
+      values = campaign::FigureValuesOf(
+          campaign::CampaignResult(grid, std::move(outcomes), 1));
+    }
+    EXPECT_FALSE(campaign::ClaimsOf(figure).empty());
+    for (const campaign::Claim* claim : campaign::ClaimsOf(figure)) {
+      for (std::string_view key : {claim->key, claim->other}) {
+        EXPECT_TRUE(key.empty() || !std::isnan(campaign::ValueOf(values, key)))
+            << claim->id << " reads " << key;
+      }
+    }
+  }
+}
+
+TEST(ClaimTableTest, ViolationNamesExactlyThatClaim) {
+  using Ids = std::vector<std::string_view>;
+  auto failed = [](Figure figure, const campaign::FigureValues& values) {
+    Ids ids;
+    for (const campaign::Claim* claim :
+         campaign::FailedClaims(figure, values)) {
+      ids.push_back(claim->id);
+    }
+    return ids;
+  };
+  EXPECT_EQ(failed(Figure::kFig5, {{"average.icall_mem_pct", 0.19},
+                                   {"average.cfi_mem_pct", 0.07}}),
+            Ids{});
+  EXPECT_EQ(failed(Figure::kFig5, {{"average.icall_mem_pct", 0.19},
+                                   {"average.cfi_mem_pct", 0.25}}),
+            Ids{"fig5.icall_mem_above_cfi"});
+  EXPECT_EQ(failed(Figure::kFig4, {{"average.icall_time_pct", 1.99},
+                                   {"average.cfi_time_pct", 7.9}}),
+            Ids{"fig4.icall_time_quarter_of_cfi"});
+  // CFI below ICall also breaks CFI's own floor.
+  EXPECT_EQ(failed(Figure::kFig4, {{"average.icall_time_pct", 0.7},
+                                   {"average.cfi_time_pct", 0.5}}),
+            (Ids{"fig4.cfi_time_real", "fig4.icall_time_quarter_of_cfi"}));
+  EXPECT_EQ(failed(Figure::kSecVB, {{"worst_time_pct", 0.0},
+                                    {"worst_mem_pct", 0.001}}),
+            Ids{"secVB.mem_zero"});
+  campaign::FigureValues table3 =
+      campaign::TableIIIValues(hw::ComputeTableIII());
+  table3[4].second = 3.4;  // worst_pct over the bound
+  EXPECT_EQ(failed(Figure::kTableIII, table3),
+            Ids{"table3.increases_below_bound"});
+  // A value that was never recorded breaks every claim that reads it.
+  EXPECT_EQ(failed(Figure::kFig3, {}).size(),
+            campaign::ClaimsOf(Figure::kFig3).size());
 }
 
 // ---------------------------------------------------------------------------

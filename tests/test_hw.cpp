@@ -2,9 +2,10 @@
 // equivalence between the gate-level ROLoad check and the simulator's
 // boolean function (exhaustive for narrow keys, randomized for 10-bit),
 // the decode-delta netlist against the real instruction encoder, mapper
-// invariants, and the Table III reproduction bounds.
+// invariants, and the Table III reproduction claims.
 #include <gtest/gtest.h>
 
+#include "campaign/figures.h"
 #include "hw/mapper.h"
 #include "hw/netlist.h"
 #include "hw/tlb_datapath.h"
@@ -237,28 +238,12 @@ TEST(TableIIITest, MatchesPaperShape) {
   EXPECT_EQ(table.without_ldro.core_ffs, kPaperCoreFfs);
   EXPECT_EQ(table.without_ldro.system_luts, kPaperSystemLuts);
   EXPECT_EQ(table.without_ldro.system_ffs, kPaperSystemFfs);
-  // The paper's headline bound: every increase below 3.32%.
-  EXPECT_LT(table.core_lut_increase_percent, 3.32);
-  EXPECT_LT(table.core_ff_increase_percent, 3.32);
-  EXPECT_LT(table.system_lut_increase_percent, 3.32);
-  EXPECT_LT(table.system_ff_increase_percent, 3.32);
-  // All strictly positive (the hardware is not free).
-  EXPECT_GT(table.core_lut_increase_percent, 0.0);
-  EXPECT_GT(table.core_ff_increase_percent, 0.0);
-  // FF cost dominates LUT cost in relative terms (key storage), as in the
-  // paper (3.32% FF vs 1.44% LUT).
-  EXPECT_GT(table.core_ff_increase_percent,
-            table.core_lut_increase_percent);
-  // System-level percentages are diluted relative to core-level.
-  EXPECT_LT(table.system_lut_increase_percent,
-            table.core_lut_increase_percent);
-  EXPECT_LT(table.system_ff_increase_percent,
-            table.core_ff_increase_percent);
-  // Fmax essentially unchanged (paper: 126.89 -> 126.57).
-  EXPECT_NEAR(table.without_ldro.fmax_mhz, 126.89, 0.5);
-  EXPECT_LT(table.with_ldro.fmax_mhz, table.without_ldro.fmax_mhz);
-  EXPECT_GT(table.with_ldro.fmax_mhz, 125.0);  // still meets F_target
-  EXPECT_GT(table.with_ldro.worst_slack_ns, 0.0);
+  // Every Table III shape claim of the paper (campaign/figures.h).
+  const campaign::FigureValues values = campaign::TableIIIValues(table);
+  for (const campaign::Claim* claim :
+       campaign::FailedClaims(campaign::Figure::kTableIII, values)) {
+    ADD_FAILURE() << campaign::DescribeClaim(*claim, values);
+  }
 }
 
 }  // namespace
