@@ -2,8 +2,9 @@
 // (unhardened) SPEC binaries run on the three system variants: the
 // baseline system, the processor-modified system, and the
 // processor-and-kernel-modified system. The grid, the overheads and the
-// paper's claims come from campaign::Figure::kSecVB; the bench exits 1 when
-// a run's result differs across the systems or a claim fails.
+// paper's claims come from campaign::Figure::kSecVB, among them that every
+// run's result is the same on all three systems; the bench exits 1 when a
+// claim fails.
 #include <cstdio>
 
 #include "bench/bench_util.h"
@@ -33,15 +34,6 @@ int main() {
   for (const auto& spec : grid.workloads) {
     const auto& base = result.MetricsOf(spec.name, "none",
                                         core::SystemVariant::kBaseline);
-    const auto& proc = result.MetricsOf(
-        spec.name, "none", core::SystemVariant::kProcessorModified);
-    const auto& full = result.MetricsOf(spec.name, "none");
-    if (proc.exit_code != base.exit_code ||
-        full.exit_code != base.exit_code) {
-      std::printf("BACKWARD COMPATIBILITY BROKEN on %s\n",
-                  spec.name.c_str());
-      return 1;
-    }
     std::printf("%-24s | %12llu | %10.4f %10.4f | %10.4f %10.4f\n",
                 spec.name.c_str(),
                 static_cast<unsigned long long>(base.cycles),
@@ -59,7 +51,7 @@ int main() {
               campaign::ValueOf(values, "worst_time_pct"),
               campaign::ValueOf(values, "worst_mem_pct"));
   const bool claims_hold = bench::GateClaims(kFigure, values, &session);
-  session.Record("backward_compatible", std::string_view("yes"));
+  session.Record("backward_compatible", claims_hold ? "yes" : "no");
   bench::WriteBenchJson(session);
   return claims_hold ? 0 : 1;
 }

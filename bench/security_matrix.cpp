@@ -5,8 +5,10 @@
 //
 // Every 1-hart and 4-hart cell is checked against the paper's verdict
 // (sec::PaperOutcome); a mismatch is marked "!=paper" and fails the bench.
+#include <algorithm>
 #include <cstddef>
 #include <cstdio>
+#include <optional>
 #include <span>
 #include <string>
 
@@ -24,15 +26,14 @@ using namespace roload;
 
 namespace {
 
-// One cell of the attack grid: what to run, and what it gave (ParallelMap
-// slots must be default-constructible, which StatusOr is not).
+// One cell of the attack grid: what to run, on which prepared victim, and
+// what it gave (ParallelMap slots must be default-constructible).
 struct AttackCell {
   sec::AttackKind kind = sec::AttackKind::kVtableInjection;
   core::Defense defense = core::Defense::kNone;
-  unsigned harts = 1;
   unsigned inject_hart = 0;
-  Status status = Status::Ok();
-  sec::AttackResult result;
+  std::size_t victim = 0;
+  StatusOr<sec::AttackResult> run = Status::Internal("not run");
 };
 
 std::string CellName(const AttackCell& cell) {
@@ -40,26 +41,75 @@ std::string CellName(const AttackCell& cell) {
          std::string(core::DefenseName(cell.defense));
 }
 
-bool MatchesPaper(const AttackCell& cell) {
-  return cell.result.outcome == sec::PaperOutcome(cell.kind, cell.defense);
-}
-
-// The printed verdict of a cell that ran: its outcome, the hart that
-// caught a ROLoad block on a multi-hart machine, and "!=paper" when the
-// outcome is not the paper's.
-std::string Verdict(const AttackCell& cell) {
-  std::string verdict(sec::AttackOutcomeName(cell.result.outcome));
-  if (cell.harts > 1 && cell.result.roload_violation) {
-    verdict += "@hart" + std::to_string(cell.result.hart);
+// Prints one verdict table, behind an "attack \ defense" header when
+// `header`: a row per attack kind of kind-major `cells`, a `width`-wide
+// column per defense, each verdict recorded as "<prefix>.<kind>.<defense>".
+// Given `bases` (the same attacks injected through hart 0), a cell whose
+// outcome, catching hart or classification differs from its base's is
+// marked "!=h0", and only its ".parity" is recorded beside it; otherwise
+// its counters feed `merger` and a multi-hart cell records its catching
+// ".hart". False when a cell errored or broke the paper or parity.
+bool PrintVerdictTable(std::span<const AttackCell> cells,
+                       std::span<const AttackCell> bases,
+                       std::span<const core::Defense> defenses, int width,
+                       const std::string& prefix, bool header,
+                       trace::TelemetrySession* session,
+                       trace::CounterMerger* merger) {
+  if (header) {
+    std::printf("%-30s", "attack \\ defense");
+    for (core::Defense defense : defenses) {
+      std::printf(" %-*s", width, core::DefenseName(defense).data());
+    }
+    std::printf("\n");
   }
-  if (!MatchesPaper(cell)) verdict += "!=paper";
-  return verdict;
+  bool ok = true;
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const AttackCell& cell = cells[i];
+    const StatusOr<sec::AttackResult>& run = cell.run;
+    if (i % defenses.size() == 0) {
+      std::printf("%-30s", sec::AttackKindName(cell.kind).data());
+    }
+    const std::string key = prefix + "." + CellName(cell);
+    std::string verdict = "ERROR";
+    bool parity = true;
+    if (run.ok()) {
+      verdict = sec::AttackOutcomeName(run->outcome);
+      if (run->harts > 1 && run->roload_violation) {
+        verdict += "@hart" + std::to_string(run->hart);
+      }
+      if (run->outcome != sec::PaperOutcome(cell.kind, cell.defense)) {
+        verdict += "!=paper";
+        ok = false;
+      }
+      if (!bases.empty()) {
+        const StatusOr<sec::AttackResult>& base = bases[i].run;
+        parity = base.ok() && run->outcome == base->outcome &&
+                 run->hart == base->hart &&
+                 run->classification == base->classification;
+        if (!parity) verdict += "!=h0";
+      }
+    }
+    ok &= run.ok() && parity;
+    std::printf(" %-*s", width, verdict.c_str());
+    session->Record(key, verdict);
+    if (run.ok() && !bases.empty()) {
+      session->Record(key + ".parity", static_cast<std::uint64_t>(parity));
+    } else if (run.ok()) {
+      if (run->harts > 1) {
+        session->Record(key + ".hart", static_cast<std::uint64_t>(run->hart));
+      }
+      merger->Add(key, run->counters);
+    }
+    if (i % defenses.size() == defenses.size() - 1) std::printf("\n");
+  }
+  return ok;
 }
 
 }  // namespace
 
 int main() {
   trace::TelemetrySession session("security_matrix");
+  const unsigned jobs = campaign::JobsFromEnv();
   constexpr std::size_t kDefenseCount = std::size(core::kAllDefenses);
   // Under load: the same attacks on a 4-hart machine while the other harts
   // keep serving the victim's dispatch loops, injected through hart 0 and
@@ -68,137 +118,122 @@ int main() {
   constexpr unsigned kInjectHart = kLoadHarts - 1;
   const core::Defense load_defenses[] = {
       core::Defense::kNone, core::Defense::kVCall, core::Defense::kICall};
-  constexpr std::size_t kLoadDefenseCount = std::size(load_defenses);
 
-  // The whole campaign is one embarrassingly parallel grid, like the
-  // figure sweeps: kind-major rows of each table, the tables back to back
-  // (each cell builds and runs its own victim System).
+  // Phase 1, once per victim: each defense at 1 hart, then the load
+  // defenses at kLoadHarts. A victim's build and unattacked reference run
+  // depend on neither the attack nor the injecting hart, so every attack
+  // on it shares them. (The optional only makes the slots
+  // default-constructible for ParallelMap.)
+  const auto victims =
+      campaign::ParallelMap<std::optional<StatusOr<sec::Victim>>>(
+          kDefenseCount + std::size(load_defenses), jobs, [&](std::size_t i) {
+            return i < kDefenseCount
+                       ? sec::PrepareVictim(core::kAllDefenses[i], 1)
+                       : sec::PrepareVictim(load_defenses[i - kDefenseCount],
+                                            kLoadHarts);
+          });
+
+  // Phase 2, the attacks: kind-major rows of each table, the tables back
+  // to back, each cell on a fresh machine off its table's victims.
   std::vector<AttackCell> grid;
   auto add_table = [&grid](std::span<const core::Defense> defenses,
-                           unsigned harts, unsigned inject_hart) {
+                           std::size_t first_victim, unsigned inject_hart) {
     const std::size_t first = grid.size();
     for (sec::AttackKind kind : sec::kAttackKinds) {
-      for (core::Defense defense : defenses) {
-        grid.push_back({kind, defense, harts, inject_hart, Status::Ok(), {}});
+      for (std::size_t d = 0; d < defenses.size(); ++d) {
+        grid.push_back({kind, defenses[d], inject_hart, first_victim + d});
       }
     }
     return first;
   };
-  const std::size_t serial = add_table(core::kAllDefenses, 1, 0);
-  const std::size_t load = add_table(load_defenses, kLoadHarts, 0);
+  const std::size_t serial = add_table(core::kAllDefenses, 0, 0);
+  const std::size_t load = add_table(load_defenses, kDefenseCount, 0);
   const std::size_t inject =
-      add_table(load_defenses, kLoadHarts, kInjectHart);
+      add_table(load_defenses, kDefenseCount, kInjectHart);
   const std::vector<AttackCell> cells = campaign::ParallelMap<AttackCell>(
-      grid.size(), campaign::JobsFromEnv(), [&grid](std::size_t i) {
+      grid.size(), jobs, [&grid, &victims](std::size_t i) {
         AttackCell cell = grid[i];
-        auto run = sec::RunAttackSmp(cell.kind, cell.defense, cell.harts,
-                                     core::SystemVariant::kFullRoload,
-                                     cell.inject_hart);
-        if (run.ok()) {
-          cell.result = *run;
-        } else {
-          cell.status = run.status();
-        }
+        const StatusOr<sec::Victim>& victim = *victims[cell.victim];
+        cell.run = victim.ok()
+                       ? sec::Attack(*victim, cell.kind, cell.inject_hart)
+                       : victim.status();
         return cell;
       });
+  const std::span<const AttackCell> all(cells);
+  const auto serial_cells = all.subspan(serial, load - serial);
+  const auto load_cells = all.subspan(load, inject - load);
 
   // Forensic aggregation across the grid: every cell ran with the audit
   // layer on, so each result carries a counter snapshot (census totals,
-  // per-key TLB checks) and, for ROLoad-blocked cells, the autopsy facts.
+  // per-key TLB checks) and, for ROLoad-blocked cells, the autopsy.
   trace::CounterMerger merger;
 
   std::printf("Security matrix (attack outcome per defense)\n\n");
-  std::printf("%-30s", "attack \\ defense");
-  for (core::Defense defense : core::kAllDefenses) {
-    std::printf(" %-10s", core::DefenseName(defense).data());
-  }
-  std::printf("\n");
-  bool any_error = false;
-  for (std::size_t k = 0; k < std::size(sec::kAttackKinds); ++k) {
-    std::printf("%-30s", sec::AttackKindName(sec::kAttackKinds[k]).data());
-    for (std::size_t d = 0; d < kDefenseCount; ++d) {
-      const AttackCell& cell = cells[serial + k * kDefenseCount + d];
-      const std::string key = "attack." + CellName(cell);
-      if (!cell.status.ok()) {
-        std::printf(" %-10s", "ERROR");
-        session.Record(key, "ERROR");
-        any_error = true;
-        continue;
-      }
-      const std::string verdict = Verdict(cell);
-      any_error |= !MatchesPaper(cell);
-      std::printf(" %-10s", verdict.c_str());
-      session.Record(key, verdict);
-      merger.Add(std::string(sec::AttackKindName(cell.kind)) + "/" +
-                     std::string(core::DefenseName(cell.defense)),
-                 cell.result.counters);
-    }
-    std::printf("\n");
-  }
+  bool ok = PrintVerdictTable(serial_cells, {}, core::kAllDefenses, 10,
+                              "attack", true, &session, &merger);
 
   // The forensic view of the same grid: not just *whether* each attack was
   // stopped, but the audit layer's explanation of *how* — which check
   // tripped ("caught:key-mismatch@dispatch", "caught:writable-page@..."),
-  // or why not ("missed:hijacked", "diverted:in-allowlist").
+  // or why not ("missed:hijacked", "diverted:in-allowlist"). The same facts
+  // open the machine-readable artifact, one roload.audit.v1 document for
+  // the whole grid: per-cell verdict and autopsy facts, then (at the end)
+  // the merged end-of-run counters of every cell.
+  JsonWriter audit;
+  audit.BeginObject();
+  audit.KV("schema", "roload.audit.v1");
+  audit.KV("source", "security_matrix");
+  audit.Key("cells").BeginArray();
   std::printf("\nForensic classification (audit layer)\n\n");
-  for (std::size_t k = 0; k < std::size(sec::kAttackKinds); ++k) {
-    std::printf("%-30s\n", sec::AttackKindName(sec::kAttackKinds[k]).data());
-    for (std::size_t d = 0; d < kDefenseCount; ++d) {
-      const AttackCell& cell = cells[serial + k * kDefenseCount + d];
-      const std::string key = "forensic." + CellName(cell);
-      if (!cell.status.ok()) {
-        session.Record(key, "ERROR");
-        continue;
-      }
-      std::string detail = cell.result.classification;
-      if (cell.result.has_autopsy) {
-        detail += StrFormat(" [pc=0x%llx va=0x%llx inst_key=%u pte_key=%u]",
-                            static_cast<unsigned long long>(
-                                cell.result.fault_pc),
-                            static_cast<unsigned long long>(
-                                cell.result.fault_va),
-                            cell.result.inst_key, cell.result.pte_key);
-      }
-      std::printf("    %-10s %s\n", core::DefenseName(cell.defense).data(),
-                  detail.c_str());
-      session.Record(key, cell.result.classification);
+  for (std::size_t i = 0; i < serial_cells.size(); ++i) {
+    const AttackCell& cell = serial_cells[i];
+    if (i % kDefenseCount == 0) {
+      std::printf("%-30s\n", sec::AttackKindName(cell.kind).data());
     }
+    const std::string key = "forensic." + CellName(cell);
+    audit.BeginObject();
+    audit.KV("attack", sec::AttackKindName(cell.kind));
+    audit.KV("defense", core::DefenseName(cell.defense));
+    if (!cell.run.ok()) {
+      session.Record(key, "ERROR");
+      audit.KV("error", cell.run.status().ToString());
+      audit.EndObject();
+      continue;
+    }
+    const sec::AttackResult& result = *cell.run;
+    audit.KV("outcome", sec::AttackOutcomeName(result.outcome));
+    audit.KV("classification", result.classification);
+    audit.KV("roload_violation", result.roload_violation);
+    audit.KV("has_autopsy", result.autopsy.has_value());
+    std::string detail = result.classification;
+    if (const auto& autopsy = result.autopsy) {
+      detail += " [pc=" + Hex(autopsy->fault_pc) +
+                " va=" + Hex(autopsy->fault_va) +
+                StrFormat(" inst_key=%u pte_key=%u]", autopsy->inst_key,
+                          autopsy->pte_key);
+      audit.Key("autopsy").BeginObject();
+      audit.KV("fault_pc", Hex(autopsy->fault_pc));
+      audit.KV("fault_va", Hex(autopsy->fault_va));
+      audit.KV("inst_key", static_cast<std::uint64_t>(autopsy->inst_key));
+      audit.KV("pte_key", static_cast<std::uint64_t>(autopsy->pte_key));
+      audit.KV("page_mapped", autopsy->page_mapped);
+      audit.KV("page_writable", autopsy->page_writable);
+      audit.EndObject();
+    }
+    audit.EndObject();
+    std::printf("    %-10s %s\n", core::DefenseName(cell.defense).data(),
+                detail.c_str());
+    session.Record(key, result.classification);
   }
+  audit.EndArray();
 
   // Under load. The defense verdicts must not change under traffic, and
   // the blocked cells must attribute the kill to the hart the scheduler
   // actually dispatched into the corrupted table first.
   std::printf("\nUnder load (attack while %u harts serve RPC-style "
               "dispatch)\n\n", kLoadHarts);
-  std::printf("%-30s", "attack \\ defense");
-  for (core::Defense defense : load_defenses) {
-    std::printf(" %-14s", core::DefenseName(defense).data());
-  }
-  std::printf("\n");
-  for (std::size_t k = 0; k < std::size(sec::kAttackKinds); ++k) {
-    std::printf("%-30s", sec::AttackKindName(sec::kAttackKinds[k]).data());
-    for (std::size_t d = 0; d < kLoadDefenseCount; ++d) {
-      const AttackCell& cell = cells[load + k * kLoadDefenseCount + d];
-      const std::string key = "attack_load." + CellName(cell);
-      if (!cell.status.ok()) {
-        std::printf(" %-14s", "ERROR");
-        session.Record(key, "ERROR");
-        any_error = true;
-        continue;
-      }
-      const std::string verdict = Verdict(cell);
-      any_error |= !MatchesPaper(cell);
-      std::printf(" %-14s", verdict.c_str());
-      session.Record(key, verdict);
-      session.Record(key + ".hart",
-                     static_cast<std::uint64_t>(cell.result.hart));
-      merger.Add(std::string(sec::AttackKindName(cell.kind)) + "/" +
-                     std::string(core::DefenseName(cell.defense)) + "/h" +
-                     std::to_string(kLoadHarts),
-                 cell.result.counters);
-    }
-    std::printf("\n");
-  }
+  ok &= PrintVerdictTable(load_cells, {}, load_defenses, 14, "attack_load",
+                          true, &session, &merger);
   std::printf("\n");
 
   // The address space is shared, so every verdict (and the catching hart)
@@ -206,75 +241,41 @@ int main() {
   // divergence is an attribution bug, marked "!=h0", and fails the bench.
   std::printf("Under load, corruption injected from hart %u (parity with "
               "hart-0 injection)\n\n", kInjectHart);
-  for (std::size_t k = 0; k < std::size(sec::kAttackKinds); ++k) {
-    std::printf("%-30s", sec::AttackKindName(sec::kAttackKinds[k]).data());
-    for (std::size_t d = 0; d < kLoadDefenseCount; ++d) {
-      const AttackCell& cell = cells[inject + k * kLoadDefenseCount + d];
-      const AttackCell& base = cells[load + k * kLoadDefenseCount + d];
-      const std::string key = "attack_inject_h" +
-                              std::to_string(kInjectHart) + "." +
-                              CellName(cell);
-      if (!cell.status.ok()) {
-        std::printf(" %-14s", "ERROR");
-        session.Record(key, "ERROR");
-        any_error = true;
-        continue;
-      }
-      std::string verdict = Verdict(cell);
-      any_error |= !MatchesPaper(cell);
-      const bool parity =
-          base.status.ok() &&
-          cell.result.outcome == base.result.outcome &&
-          cell.result.hart == base.result.hart &&
-          cell.result.classification == base.result.classification;
-      if (!parity) {
-        verdict += "!=h0";
-        any_error = true;
-      }
-      std::printf(" %-14s", verdict.c_str());
-      session.Record(key, verdict);
-      session.Record(key + ".parity", static_cast<std::uint64_t>(parity));
-    }
-    std::printf("\n");
-  }
+  ok &= PrintVerdictTable(all.subspan(inject), load_cells, load_defenses, 14,
+                          "attack_inject_h" + std::to_string(kInjectHart),
+                          false, &session, nullptr);
   std::printf("\n");
 
   // Static verdicts next to the dynamic ones: the src/verify proof over
-  // the very build each attack ran against. "proven" = zero violations
-  // and every dispatch shown to consume an ld.ro result; "partial" =
-  // zero violations but only some dispatches carry the proof (expected
-  // for VCall, which covers virtual calls only, and for defenses that
-  // never dispatch through ld.ro); "REJECT" = the verifier found a
+  // the very build each 1-hart attack ran against. "proven" = zero
+  // violations and every dispatch shown to consume an ld.ro result;
+  // "partial" = zero violations but only some dispatches carry the proof
+  // (expected for VCall, which covers virtual calls only, and for defenses
+  // that never dispatch through ld.ro); "REJECT" = the verifier found a
   // violation (never expected here).
   std::printf("%-30s", "statically proven");
-  const ir::Module victim = sec::MakeVictimModule();
-  for (core::Defense defense : core::kAllDefenses) {
-    core::BuildOptions options;
-    options.defense = defense;
-    auto build = core::Build(victim, options);
+  for (std::size_t d = 0; d < kDefenseCount; ++d) {
+    const StatusOr<sec::Victim>& victim = *victims[d];
     const std::string prefix =
-        std::string("static.") + std::string(core::DefenseName(defense));
-    if (!build.ok()) {
+        "static." + std::string(core::DefenseName(core::kAllDefenses[d]));
+    if (!victim.ok()) {
       std::printf(" %-10s", "ERROR");
       session.Record(prefix + ".verdict", "ERROR");
-      any_error = true;
+      ok = false;
       continue;
     }
-    const verify::Report report = core::Verify(*build);
+    const verify::Report report = core::Verify(victim->build);
     const auto& stats = report.stats();
-    std::string verdict;
+    std::string verdict = StrFormat(
+        "%llu/%llu", static_cast<unsigned long long>(stats.proven_dispatches),
+        static_cast<unsigned long long>(stats.dispatches));
     if (!report.ok()) {
       verdict = "REJECT";
-      any_error = true;
-    } else if (stats.dispatches == stats.proven_dispatches &&
-               stats.dispatches > 0) {
+    } else if (stats.dispatches > 0 &&
+               stats.dispatches == stats.proven_dispatches) {
       verdict = "proven";
-    } else {
-      verdict = StrFormat(
-          "%llu/%llu",
-          static_cast<unsigned long long>(stats.proven_dispatches),
-          static_cast<unsigned long long>(stats.dispatches));
     }
+    ok &= report.ok();
     std::printf(" %-10s", verdict.c_str());
     session.Record(prefix + ".verdict", verdict);
     session.Record(prefix + ".ok", static_cast<std::uint64_t>(report.ok()));
@@ -291,95 +292,37 @@ int main() {
               "indirect-call site):\n");
   for (const auto& spec : workloads::SpecCppSubset(1.0)) {
     const ir::Module module = workloads::Generate(spec);
+    // A coarse-CFI site admits every address-taken function; a type-keyed
+    // one admits those of its type, on average address_taken / used_types.
     std::size_t address_taken = 0;
-    std::vector<std::size_t> per_type(module.fn_type_names.size(), 0);
+    std::vector<bool> used(module.fn_type_names.size(), false);
     for (const auto& fn : module.functions) {
       if (!fn.address_taken) continue;
       ++address_taken;
-      per_type[static_cast<std::size_t>(fn.type_id)]++;
+      used[static_cast<std::size_t>(fn.type_id)] = true;
     }
-    std::size_t used_types = 0;
-    std::size_t sum = 0;
-    for (std::size_t n : per_type) {
-      if (n > 0) {
-        ++used_types;
-        sum += n;
-      }
-    }
+    const auto used_types =
+        static_cast<double>(std::count(used.begin(), used.end(), true));
+    const double typed = static_cast<double>(address_taken) / used_types;
     std::printf("  %-24s address-taken fns: %4zu; coarse-CFI allowlist: "
                 "%4zu; type-keyed allowlist (avg): %.1f  (%.1fx smaller)\n",
-                spec.name.c_str(), address_taken, address_taken,
-                static_cast<double>(sum) / static_cast<double>(used_types),
-                static_cast<double>(address_taken) * used_types /
-                    static_cast<double>(sum));
+                spec.name.c_str(), address_taken, address_taken, typed,
+                used_types);
     session.Record("residual." + spec.name + ".address_taken",
                    static_cast<std::uint64_t>(address_taken));
-    session.Record("residual." + spec.name + ".typed_allowlist_avg",
-                   static_cast<double>(sum) /
-                       static_cast<double>(used_types));
+    session.Record("residual." + spec.name + ".typed_allowlist_avg", typed);
   }
 
-  // Machine-readable forensics artifact: one roload.audit.v1 document for
-  // the whole grid — per-cell verdict + autopsy facts, plus the merged
-  // end-of-run counters (CounterMerger over every cell's snapshot).
-  {
-    JsonWriter writer;
-    writer.BeginObject();
-    writer.KV("schema", "roload.audit.v1");
-    writer.KV("source", "security_matrix");
-    writer.Key("cells").BeginArray();
-    for (std::size_t i = serial; i < load; ++i) {
-      const AttackCell& cell = cells[i];
-      writer.BeginObject();
-      writer.KV("attack", sec::AttackKindName(cell.kind));
-      writer.KV("defense", core::DefenseName(cell.defense));
-      if (!cell.status.ok()) {
-        writer.KV("error", cell.status.ToString());
-        writer.EndObject();
-        continue;
-      }
-      writer.KV("outcome", sec::AttackOutcomeName(cell.result.outcome));
-      writer.KV("classification", cell.result.classification);
-      writer.KV("roload_violation", cell.result.roload_violation);
-      writer.KV("has_autopsy", cell.result.has_autopsy);
-      if (cell.result.has_autopsy) {
-        writer.Key("autopsy").BeginObject();
-        writer.KV("fault_pc",
-                  StrFormat("0x%llx", static_cast<unsigned long long>(
-                                          cell.result.fault_pc)));
-        writer.KV("fault_va",
-                  StrFormat("0x%llx", static_cast<unsigned long long>(
-                                          cell.result.fault_va)));
-        writer.KV("inst_key",
-                  static_cast<std::uint64_t>(cell.result.inst_key));
-        writer.KV("pte_key",
-                  static_cast<std::uint64_t>(cell.result.pte_key));
-        writer.KV("page_mapped", cell.result.page_mapped);
-        writer.KV("page_writable", cell.result.page_writable);
-        writer.EndObject();
-      }
-      writer.EndObject();
-    }
-    writer.EndArray();
-    writer.Key("merged_counters").BeginObject();
-    for (const auto& [name, aggregate] : merger.Merged()) {
-      writer.Key(name).BeginObject();
-      writer.KV("sum", aggregate.sum);
-      writer.KV("min", aggregate.min);
-      writer.KV("max", aggregate.max);
-      writer.KV("runs", aggregate.runs);
-      writer.EndObject();
-    }
-    writer.EndObject();
-    writer.EndObject();
-    const std::string path = "AUDIT_security_matrix.json";
-    if (Status status = trace::WriteFile(path, writer.str()); !status.ok()) {
-      std::fprintf(stderr, "bench: %s\n", status.ToString().c_str());
-    } else {
-      std::printf("wrote %s\n", path.c_str());
-    }
+  audit.Key("merged_counters");
+  merger.WriteJson(&audit);
+  audit.EndObject();
+  const std::string path = "AUDIT_security_matrix.json";
+  if (Status status = trace::WriteFile(path, audit.str()); !status.ok()) {
+    std::fprintf(stderr, "bench: %s\n", status.ToString().c_str());
+  } else {
+    std::printf("wrote %s\n", path.c_str());
   }
 
   bench::WriteBenchJson(session);
-  return any_error ? 1 : 0;
+  return ok ? 0 : 1;
 }

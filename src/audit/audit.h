@@ -135,6 +135,8 @@ struct Autopsy {
   // "key-mismatch" / "writable-page" / "unmapped-page" for ROLoad faults,
   // else the trap-cause name.
   std::string classification;
+
+  bool operator==(const Autopsy&) const = default;
 };
 
 // The per-System forensics collector: an event sink (census feed) plus a

@@ -4,17 +4,14 @@
 
 #include "isa/registers.h"
 #include "isa/traps.h"
+#include "support/json.h"
 #include "support/strings.h"
 
 namespace roload::audit {
 namespace {
 
-std::string Hex(std::uint64_t value) {
-  return StrFormat("0x%llx", static_cast<unsigned long long>(value));
-}
-
-}  // namespace
-
+// Writes one autopsy as a JSON object into `writer` (the caller opens the
+// surrounding array/keys).
 void WriteAutopsyJson(JsonWriter* writer, const Autopsy& autopsy) {
   writer->BeginObject();
   writer->KV("classification", autopsy.classification);
@@ -56,6 +53,8 @@ void WriteAutopsyJson(JsonWriter* writer, const Autopsy& autopsy) {
 
   writer->EndObject();
 }
+
+}  // namespace
 
 std::string ExportAuditJson(const Auditor& auditor) {
   JsonWriter writer;

@@ -6,7 +6,6 @@
 #include <string>
 
 #include "audit/audit.h"
-#include "support/json.h"
 
 namespace roload::audit {
 
@@ -24,10 +23,5 @@ std::string ExportAuditJson(const Auditor& auditor);
 // example in docs/OBSERVABILITY.md shows the layout), then a census
 // summary table.
 std::string ExportAuditText(const Auditor& auditor);
-
-// Writes one autopsy as a JSON object into `writer` (the caller opens the
-// surrounding array/keys). Shared between ExportAuditJson and the bench
-// harness, which embeds autopsies in its own result documents.
-void WriteAutopsyJson(JsonWriter* writer, const Autopsy& autopsy);
 
 }  // namespace roload::audit

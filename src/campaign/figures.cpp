@@ -45,9 +45,14 @@ constexpr Claim kClaims[] = {
     {"fig5.icall_mem_above_cfi", Figure::kFig5, "average.icall_mem_pct",
      R::kAbove, 1.0, "average.cfi_mem_pct"},
     // §V-B: unhardened binaries run on the modified systems with no
-    // runtime or memory cost at all.
+    // runtime or memory cost at all, and compute the same results with
+    // the same instructions.
     {"secVB.time_zero", Figure::kSecVB, "worst_time_pct", R::kEqual, 0.0},
     {"secVB.mem_zero", Figure::kSecVB, "worst_mem_pct", R::kEqual, 0.0},
+    {"secVB.instructions_zero", Figure::kSecVB, "worst_instructions_pct",
+     R::kEqual, 0.0},
+    {"secVB.same_results", Figure::kSecVB, "exit_mismatches", R::kEqual,
+     0.0},
     // Table III: every increase is real and below 3.32% (the paper's
     // largest, the core FFs, is 3.315%), FFs cost more than LUTs (key
     // storage), the system dilutes the core's share, and timing is
@@ -191,6 +196,8 @@ FigureValues FigureValuesOf(const CampaignResult& result) {
   constexpr std::string_view kMetrics[] = {"_time_pct", "_mem_pct"};
   FigureValues values;
   double worst[2] = {0, 0};
+  double worst_instructions = 0;
+  double exit_mismatches = 0;
   for (const workloads::WorkloadSpec& workload : grid.workloads) {
     const core::RunMetrics& base =
         result.MetricsOf(workload.name, base_config, grid.variants.front());
@@ -209,6 +216,12 @@ FigureValues FigureValuesOf(const CampaignResult& result) {
         column.sums[m] += pct[m];
         worst[m] = std::max(worst[m], std::abs(pct[m]));
       }
+      worst_instructions = std::max(
+          worst_instructions,
+          std::abs(core::OverheadPercent(
+              static_cast<double>(base.instructions),
+              static_cast<double>(run.instructions))));
+      exit_mismatches += run.exit_code != base.exit_code ? 1 : 0;
     }
   }
   for (int m = 0; m < 2; ++m) {
@@ -221,6 +234,10 @@ FigureValues FigureValuesOf(const CampaignResult& result) {
           "average." + column.name + std::string(kMetrics[m]),
           column.sums[m] / static_cast<double>(grid.workloads.size()));
     }
+  }
+  if (by_variant) {
+    values.emplace_back("worst_instructions_pct", worst_instructions);
+    values.emplace_back("exit_mismatches", exit_mismatches);
   }
   return values;
 }

@@ -40,7 +40,9 @@ CampaignSpec FigureGrid(Figure figure, double scale);
 // other configs, lowercased ("vcall", "icall", "cfi"), or, when the grid
 // varies systems (§V-B), the other variants ("proc", "full"). Then come
 // "average.<column>_{time,mem}_pct", or for a system grid
-// "worst_{time,mem}_pct", the largest overhead magnitude.
+// "worst_{time,mem}_pct", the largest overhead magnitude, then
+// "worst_instructions_pct", the same for retired instructions, and
+// "exit_mismatches", how many runs exit differently from their base.
 FigureValues FigureValuesOf(const CampaignResult& result);
 
 // Table III's increases in percent ("core_lut_pct", "core_ff_pct",

@@ -228,18 +228,28 @@ ir::Module MakeVictimModule() {
   return module;
 }
 
-StatusOr<AttackResult> RunAttackSmp(AttackKind kind, core::Defense defense,
-                                    unsigned harts,
-                                    core::SystemVariant variant,
-                                    unsigned inject_hart) {
-  if (inject_hart >= (harts == 0 ? 1u : harts)) {
-    return Status::InvalidArgument("inject_hart out of range");
-  }
+StatusOr<Victim> PrepareVictim(core::Defense defense, unsigned harts,
+                               core::SystemVariant variant) {
   core::BuildOptions options;
   options.defense = defense;
   auto build = core::Build(MakeVictimModule(), options);
   if (!build.ok()) return build.status();
-  const auto& symbols = build->image.symbols;
+  auto clean = core::RunBuild(*build, variant, 1ull << 34, {},
+                              cpu::ExecTier::kTranslated, harts);
+  if (!clean.ok()) return clean.status();
+  if (!clean->completed) {
+    return Status::Internal("victim does not run cleanly under " +
+                            std::string(core::DefenseName(defense)));
+  }
+  return Victim{std::move(*build), clean->exit_code, harts, variant};
+}
+
+StatusOr<AttackResult> Attack(const Victim& victim, AttackKind kind,
+                              unsigned inject_hart) {
+  if (inject_hart >= (victim.harts == 0 ? 1u : victim.harts)) {
+    return Status::InvalidArgument("inject_hart out of range");
+  }
+  const auto& symbols = victim.build.image.symbols;
   auto sym = [&symbols](const std::string& name) -> StatusOr<std::uint64_t> {
     auto it = symbols.find(name);
     if (it == symbols.end()) {
@@ -248,40 +258,28 @@ StatusOr<AttackResult> RunAttackSmp(AttackKind kind, core::Defense defense,
     return it->second;
   };
 
-  // Baseline (unattacked) exit code for divergence detection, at the same
-  // hart count (the harts cooperatively advance the shared loop counter,
-  // so the clean exit code is a function of the interleaving — which the
-  // deterministic scheduler makes reproducible).
-  auto baseline = core::RunBuild(*build, variant, 1ull << 34, {},
-                                 cpu::ExecTier::kTranslated, harts);
-  if (!baseline.ok()) return baseline.status();
-  if (!baseline->completed) {
-    return Status::Internal("victim does not run cleanly under " +
-                            std::string(core::DefenseName(defense)));
-  }
-  const std::int64_t baseline_exit = baseline->exit_code;
-
   core::SystemConfig config;
-  config.variant = variant;
-  config.harts = harts;
+  config.variant = victim.variant;
+  config.harts = victim.harts;
   // Forensics on: a blocked run must explain *how* it was blocked (which
   // ld.ro, which keys disagreed) — that's the evidence the result carries.
   config.trace.audit = true;
   core::System machine(config);
-  ROLOAD_RETURN_IF_ERROR(machine.Load(build->image));
+  ROLOAD_RETURN_IF_ERROR(machine.Load(victim.build.image));
 
-  // Phase 1: run the victim into its steady state — on an SMP machine,
-  // every hart is mid-dispatch when the corruption lands.
+  // Run the victim into its steady state — on an SMP machine, every hart
+  // is mid-dispatch when the corruption lands.
   kernel::RunResult phase1 = machine.Run(kPauseInstructions);
   if (phase1.kind != kernel::ExitKind::kInstructionLimit) {
     return Status::Internal("victim finished before the attack landed");
   }
 
-  // Phase 2: the corruption, through the attacker's arbitrary-write
-  // primitive. The address space is shared, so whichever hart's debug port
-  // carries the write (`inject_hart`) lands on the same memory — the
-  // verdict must not depend on the choice.
-  for (const SymbolWrite& write : AttackWrites(kind, defense)) {
+  // The corruption, through the attacker's arbitrary-write primitive. The
+  // address space is shared, so whichever hart's debug port carries the
+  // write (`inject_hart`) lands on the same memory — the verdict must not
+  // depend on the choice.
+  for (const SymbolWrite& write :
+       AttackWrites(kind, victim.build.options.defense)) {
     auto value = sym(write.value);
     if (!value.ok()) return value.status();
     auto target = sym(write.target);
@@ -291,7 +289,7 @@ StatusOr<AttackResult> RunAttackSmp(AttackKind kind, core::Defense defense,
     }
   }
 
-  // Phase 3: let the victim continue.
+  // Let the victim continue.
   const kernel::RunResult phase3 = machine.Run();
 
   AttackResult result;
@@ -299,7 +297,7 @@ StatusOr<AttackResult> RunAttackSmp(AttackKind kind, core::Defense defense,
   result.signal = phase3.signal;
   result.exit_code = phase3.exit_code;
   result.hart = phase3.hart;
-  result.harts = harts;
+  result.harts = victim.harts;
   result.inject_hart = inject_hart;
 
   std::uint64_t sentinel = 0;
@@ -316,7 +314,7 @@ StatusOr<AttackResult> RunAttackSmp(AttackKind kind, core::Defense defense,
   } else if (phase3.kind == kernel::ExitKind::kExited &&
              phase3.exit_code == 134) {
     result.outcome = AttackOutcome::kBlocked;  // CFI/VTint abort path
-  } else if (phase3.exit_code != baseline_exit) {
+  } else if (phase3.exit_code != victim.clean_exit) {
     result.outcome = AttackOutcome::kDiverted;
   } else {
     result.outcome = AttackOutcome::kNoEffect;
@@ -326,14 +324,7 @@ StatusOr<AttackResult> RunAttackSmp(AttackKind kind, core::Defense defense,
   // block always comes with an autopsy.
   const audit::Auditor* auditor = machine.audit();
   if (auditor != nullptr && !auditor->autopsies().empty()) {
-    const audit::Autopsy& autopsy = auditor->autopsies().back();
-    result.has_autopsy = true;
-    result.fault_pc = autopsy.fault_pc;
-    result.fault_va = autopsy.fault_va;
-    result.inst_key = autopsy.inst_key;
-    result.pte_key = autopsy.pte_key;
-    result.page_mapped = autopsy.page_mapped;
-    result.page_writable = autopsy.page_writable;
+    result.autopsy = auditor->autopsies().back();
   }
   switch (result.outcome) {
     case AttackOutcome::kHijacked:
@@ -346,12 +337,10 @@ StatusOr<AttackResult> RunAttackSmp(AttackKind kind, core::Defense defense,
       result.classification = "no-effect";
       break;
     case AttackOutcome::kBlocked:
-      if (result.has_autopsy && auditor != nullptr) {
-        const audit::Autopsy& autopsy = auditor->autopsies().back();
-        const std::string site = auditor->NearestSymbol(autopsy.fault_pc);
-        result.classification =
-            "caught:" + autopsy.classification +
-            (site.empty() ? "" : "@" + site);
+      if (result.autopsy) {
+        const std::string& site = result.autopsy->fault_symbol;
+        result.classification = "caught:" + result.autopsy->classification +
+                                (site.empty() ? "" : "@" + site);
       } else if (phase3.kind == kernel::ExitKind::kExited) {
         result.classification = "caught:cfi-abort";
       } else {
@@ -361,6 +350,15 @@ StatusOr<AttackResult> RunAttackSmp(AttackKind kind, core::Defense defense,
   }
   result.counters = machine.trace().counters().Snapshot();
   return result;
+}
+
+StatusOr<AttackResult> RunAttackSmp(AttackKind kind, core::Defense defense,
+                                    unsigned harts,
+                                    core::SystemVariant variant,
+                                    unsigned inject_hart) {
+  auto victim = PrepareVictim(defense, harts, variant);
+  if (!victim.ok()) return victim.status();
+  return Attack(*victim, kind, inject_hart);
 }
 
 }  // namespace roload::sec

@@ -9,11 +9,13 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
+#include "audit/audit.h"
 #include "core/toolchain.h"
 
 namespace roload::sec {
@@ -61,17 +63,9 @@ struct AttackResult {
   int signal = 0;
   std::int64_t exit_code = 0;
 
-  // Forensics from the audit layer (src/audit), which RunAttackSmp keeps
-  // enabled on the attacked system. `has_autopsy` is true exactly when the
-  // block came through the ROLoad fault path — CFI/VTint software aborts
-  // exit cleanly and leave no autopsy.
-  bool has_autopsy = false;
-  std::uint64_t fault_pc = 0;
-  std::uint64_t fault_va = 0;
-  std::uint32_t inst_key = 0;   // static key of the faulting ld.ro
-  std::uint32_t pte_key = 0;    // key of the page it hit
-  bool page_mapped = false;
-  bool page_writable = false;
+  // The audit layer's autopsy (src/audit) of the fault that killed the
+  // attacked system, if one did: CFI/VTint software aborts leave none.
+  std::optional<audit::Autopsy> autopsy;
   // One-line verdict for matrices and logs:
   //   "caught:key-mismatch@<symbol>"   ld.ro landed on the wrong allowlist
   //   "caught:writable-page@<symbol>"  ld.ro landed on attacker memory
@@ -92,8 +86,10 @@ struct AttackResult {
 
   // End-of-run counter snapshot of the attacked system (census totals,
   // per-key TLB checks, ...) for cross-run aggregation via
-  // campaign::CounterMerger.
+  // trace::CounterMerger.
   std::vector<std::pair<std::string, std::uint64_t>> counters;
+
+  bool operator==(const AttackResult&) const = default;
 };
 
 // The victim program: a loop of virtual dispatches (hierarchy A) and
@@ -102,17 +98,40 @@ struct AttackResult {
 // a sentinel when executed.
 ir::Module MakeVictimModule();
 
-// Builds the victim with `defense`, runs it on a `harts`-hart system of
-// `variant`, injects `kind` mid-execution, and classifies the outcome. The
-// victim serves on every hart (one shared address space, so every hart
-// dispatches through the same object and function-pointer slot), and the
-// corruption lands mid-run while the other harts are mid-dispatch. The
-// result records which hart's keyed dispatch caught the attack.
+// The victim of one (defense, harts, variant): its build and the exit code
+// of an unattacked run at that width (the harts cooperatively advance the
+// shared loop counter, so the clean exit code depends on the interleaving,
+// which the deterministic scheduler makes reproducible). Read-only once
+// prepared: any number of attacks, on any threads, may run off one Victim.
+struct Victim {
+  core::BuildResult build;
+  std::int64_t clean_exit = 0;
+  unsigned harts = 1;
+  core::SystemVariant variant = core::SystemVariant::kFullRoload;
+};
+
+// Phase 1 of an attack: builds the victim with `defense` and runs it
+// unattacked on a `harts`-hart system of `variant`. Fails when the victim
+// does not run cleanly.
+StatusOr<Victim> PrepareVictim(core::Defense defense, unsigned harts = 1,
+                               core::SystemVariant variant =
+                                   core::SystemVariant::kFullRoload);
+
+// Phase 2: runs `victim` on a fresh machine, injects `kind` mid-execution,
+// and classifies the outcome. The victim serves on every hart (one shared
+// address space, so every hart dispatches through the same object and
+// function-pointer slot), and the corruption lands mid-run while the other
+// harts are mid-dispatch. The result records which hart's keyed dispatch
+// caught the attack.
 //
 // `inject_hart` picks whose debug port the arbitrary write goes through
 // (must be < harts). The address space is shared, so the verdict, the
 // catching hart and the autopsy must not depend on it — the parity test in
 // tests/test_smp.cpp pins hart-0 vs hart-(N-1) injection equal.
+StatusOr<AttackResult> Attack(const Victim& victim, AttackKind kind,
+                              unsigned inject_hart = 0);
+
+// Both phases for one attack: PrepareVictim, then Attack.
 StatusOr<AttackResult> RunAttackSmp(AttackKind kind, core::Defense defense,
                                     unsigned harts = 1,
                                     core::SystemVariant variant =

@@ -113,4 +113,8 @@ std::string StrFormat(const char* fmt, ...) {
   return result;
 }
 
+std::string Hex(std::uint64_t value) {
+  return StrFormat("0x%llx", static_cast<unsigned long long>(value));
+}
+
 }  // namespace roload

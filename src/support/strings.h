@@ -32,4 +32,7 @@ std::optional<std::int64_t> ParseInt(std::string_view text);
 // printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 
+// "0x" and lowercase hex digits, no padding: "0x10260".
+std::string Hex(std::uint64_t value);
+
 }  // namespace roload

@@ -8,10 +8,6 @@
 namespace roload::trace {
 namespace {
 
-std::string Hex(std::uint64_t value) {
-  return StrFormat("0x%llx", static_cast<unsigned long long>(value));
-}
-
 void WriteCountersObject(JsonWriter* json, const CounterRegistry& counters) {
   json->Key("counters").BeginObject();
   for (const auto& [name, value] : counters.Snapshot()) {

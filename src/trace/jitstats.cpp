@@ -7,13 +7,6 @@
 #include "support/strings.h"
 
 namespace roload::trace {
-namespace {
-
-std::string Hex(std::uint64_t value) {
-  return StrFormat("0x%llx", static_cast<unsigned long long>(value));
-}
-
-}  // namespace
 
 std::string_view DeoptReasonName(DeoptReason reason) {
   switch (reason) {

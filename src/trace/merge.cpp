@@ -35,6 +35,19 @@ CounterMerger::Merged() const {
   return {merged.begin(), merged.end()};
 }
 
+void CounterMerger::WriteJson(JsonWriter* json) const {
+  json->BeginObject();
+  for (const auto& [name, agg] : Merged()) {
+    json->Key(name).BeginObject();
+    json->KV("sum", agg.sum);
+    json->KV("min", agg.min);
+    json->KV("max", agg.max);
+    json->KV("runs", agg.runs);
+    json->EndObject();
+  }
+  json->EndObject();
+}
+
 std::vector<std::pair<std::string, std::uint64_t>> CounterMerger::PerRun(
     std::string_view counter) const {
   std::vector<std::pair<std::string, std::uint64_t>> out;

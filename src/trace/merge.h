@@ -13,6 +13,8 @@
 #include <utility>
 #include <vector>
 
+#include "support/json.h"
+
 namespace roload::trace {
 
 class CounterMerger {
@@ -37,6 +39,10 @@ class CounterMerger {
   // All aggregated counters, sorted by name — the deterministic export
   // order, mirroring CounterRegistry::Snapshot().
   std::vector<std::pair<std::string, Aggregate>> Merged() const;
+
+  // Writes Merged() as one JSON object, {name: {sum,min,max,runs}}, into
+  // `json` (the caller opens the surrounding key).
+  void WriteJson(JsonWriter* json) const;
 
   // Value of `counter` in every run that reported it, in Add() order.
   std::vector<std::pair<std::string, std::uint64_t>> PerRun(

@@ -60,16 +60,8 @@ std::string TelemetrySession::ToJson() const {
     json.EndObject();
   }
   if (merger_ != nullptr) {
-    json.Key("merged_counters").BeginObject();
-    for (const auto& [name, agg] : merger_->Merged()) {
-      json.Key(name).BeginObject();
-      json.KV("sum", agg.sum);
-      json.KV("min", agg.min);
-      json.KV("max", agg.max);
-      json.KV("runs", agg.runs);
-      json.EndObject();
-    }
-    json.EndObject();
+    json.Key("merged_counters");
+    merger_->WriteJson(&json);
   }
   json.EndObject();
   return json.str() + "\n";

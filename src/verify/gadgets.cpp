@@ -138,8 +138,7 @@ std::string GadgetCensus::ToJson(std::string_view image_name) const {
   json.BeginArray();
   for (const Gadget& g : gadgets) {
     json.BeginObject();
-    json.KV("start",
-            StrFormat("0x%llx", static_cast<unsigned long long>(g.start)));
+    json.KV("start", Hex(g.start));
     json.KV("kind", g.kind == Gadget::Kind::kRet ? "ret" : "jalr");
     json.KV("len", static_cast<std::uint64_t>(g.length));
     json.KV("misaligned", g.misaligned);

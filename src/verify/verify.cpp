@@ -131,10 +131,7 @@ std::string Report::ToJson(std::string_view tool, std::string_view image,
     json.KV("rule_id", RuleId(v.rule));
     json.KV("rule", RuleName(v.rule));
     json.KV("where", v.where);
-    if (v.has_pc) {
-      json.KV("pc", StrFormat("0x%llx",
-                              static_cast<unsigned long long>(v.pc)));
-    }
+    if (v.has_pc) json.KV("pc", Hex(v.pc));
     json.KV("message", v.message);
     json.EndObject();
   }

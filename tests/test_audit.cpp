@@ -266,13 +266,13 @@ TEST(AuditAttackTest, VtableInjectionAutopsyShowsWritablePage) {
                                core::Defense::kVCall);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   EXPECT_EQ(run->outcome, sec::AttackOutcome::kBlocked);
-  ASSERT_TRUE(run->has_autopsy);
+  ASSERT_TRUE(run->autopsy);
   EXPECT_TRUE(run->roload_violation);
   // The fake vtable lives in the attacker's writable buffer: key 0,
   // writable — both halves of the check refuse it.
-  EXPECT_NE(run->inst_key, run->pte_key);
-  EXPECT_EQ(run->pte_key, 0u);
-  EXPECT_TRUE(run->page_writable);
+  EXPECT_NE(run->autopsy->inst_key, run->autopsy->pte_key);
+  EXPECT_EQ(run->autopsy->pte_key, 0u);
+  EXPECT_TRUE(run->autopsy->page_writable);
   EXPECT_EQ(run->classification.rfind("caught:writable-page", 0), 0u)
       << run->classification;
 }
@@ -282,16 +282,16 @@ TEST(AuditAttackTest, FnPtrHijackAutopsyShowsKeyEvidence) {
                                core::Defense::kICall);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   EXPECT_EQ(run->outcome, sec::AttackOutcome::kBlocked);
-  ASSERT_TRUE(run->has_autopsy);
+  ASSERT_TRUE(run->autopsy);
   // The hijacked dispatch tried to ld.ro through the raw code address of
   // `evil` — which lives outside every keyed allowlist section, so the
   // autopsy's keys disagree exactly as the sabotage predicts. (Which
   // hardware check trips first depends on the address: a non-8-aligned
   // code address faults on alignment before the key comparison; either
   // way the dispatch is dead and the evidence is captured.)
-  EXPECT_NE(run->inst_key, run->pte_key);
-  EXPECT_NE(run->inst_key, 0u);
-  EXPECT_EQ(run->pte_key, 0u);
+  EXPECT_NE(run->autopsy->inst_key, run->autopsy->pte_key);
+  EXPECT_NE(run->autopsy->inst_key, 0u);
+  EXPECT_EQ(run->autopsy->pte_key, 0u);
   EXPECT_EQ(run->classification.rfind("caught:", 0), 0u)
       << run->classification;
 }
@@ -302,7 +302,7 @@ TEST(AuditAttackTest, CfiAbortBlocksWithoutAutopsy) {
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   EXPECT_EQ(run->outcome, sec::AttackOutcome::kBlocked);
   // Software CFI aborts via exit(134): no fault, no autopsy.
-  EXPECT_FALSE(run->has_autopsy);
+  EXPECT_FALSE(run->autopsy);
   EXPECT_EQ(run->classification, "caught:cfi-abort");
 }
 

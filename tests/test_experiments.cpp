@@ -119,7 +119,9 @@ TEST(ClaimTableTest, ViolationNamesExactlyThatClaim) {
                                    {"average.cfi_time_pct", 0.5}}),
             (Ids{"fig4.cfi_time_real", "fig4.icall_time_quarter_of_cfi"}));
   EXPECT_EQ(failed(Figure::kSecVB, {{"worst_time_pct", 0.0},
-                                    {"worst_mem_pct", 0.001}}),
+                                    {"worst_mem_pct", 0.001},
+                                    {"worst_instructions_pct", 0.0},
+                                    {"exit_mismatches", 0.0}}),
             Ids{"secVB.mem_zero"});
   campaign::FigureValues table3 =
       campaign::TableIIIValues(hw::ComputeTableIII());

@@ -1,10 +1,13 @@
 // Security-harness tests: the full attack/defense outcome matrix of
 // Section V-C2, each cell checked against sec::PaperOutcome, plus the
-// Section V-D residual surface and the fault-attribution details.
+// Section V-D residual surface, the fault-attribution details and the
+// two attack phases.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <vector>
 
+#include "campaign/parallel.h"
 #include "sec/attack.h"
 
 namespace roload::sec {
@@ -73,12 +76,39 @@ TEST(AttackDetailTest, CfiBlocksAreAbortsNotFaults) {
 
 TEST(AttackDetailTest, VictimRunsCleanlyUnderEveryDefense) {
   // Sanity for the harness itself: without an attack the victim exits
-  // normally under all defenses (checked internally by RunAttackSmp, which
-  // errors out otherwise — exercise one defense per family here).
+  // normally under all defenses (checked by PrepareVictim, which errors
+  // out otherwise).
   for (core::Defense defense : core::kAllDefenses) {
-    auto result = RunAttackSmp(AttackKind::kFnPtrReuseSameType, defense);
-    EXPECT_TRUE(result.ok()) << core::DefenseName(defense) << ": "
-                             << result.status().ToString();
+    auto victim = PrepareVictim(defense);
+    EXPECT_TRUE(victim.ok()) << core::DefenseName(defense) << ": "
+                             << victim.status().ToString();
+  }
+}
+
+// An attack never mutates its victim: every kind run off one shared
+// Victim, in order and then in reverse on 4 threads, gives exactly what a
+// fresh RunAttackSmp gives, counters and autopsy included.
+TEST(AttackPhaseTest, SharedVictimMatchesFreshAttacks) {
+  constexpr std::size_t kKinds = std::size(kAttackKinds);
+  for (const auto& [defense, harts] :
+       {std::pair{core::Defense::kICall, 4u}, {core::Defense::kVCall, 1u}}) {
+    const auto victim = PrepareVictim(defense, harts);
+    ASSERT_TRUE(victim.ok()) << victim.status().ToString();
+    auto attack = [&](std::size_t k) {
+      auto result = Attack(*victim, kAttackKinds[k]);
+      return result.ok() ? std::optional(std::move(*result)) : std::nullopt;
+    };
+    std::vector<std::optional<AttackResult>> in_order;
+    for (std::size_t k = 0; k < kKinds; ++k) in_order.push_back(attack(k));
+    const auto reversed = campaign::ParallelMap<std::optional<AttackResult>>(
+        kKinds, 4, [&](std::size_t i) { return attack(kKinds - 1 - i); });
+    for (std::size_t k = 0; k < kKinds; ++k) {
+      const auto fresh = RunAttackSmp(kAttackKinds[k], defense, harts);
+      ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+      EXPECT_TRUE(in_order[k] == *fresh) << AttackKindName(kAttackKinds[k]);
+      EXPECT_TRUE(reversed[kKinds - 1 - k] == *fresh)
+          << AttackKindName(kAttackKinds[k]);
+    }
   }
 }
 

@@ -2,6 +2,7 @@
 // benchmark class, suite composition, and cross-variant result stability.
 #include <gtest/gtest.h>
 
+#include "campaign/figures.h"
 #include "core/toolchain.h"
 #include "ir/ir.h"
 #include "workloads/spec_like.h"
@@ -116,29 +117,19 @@ TEST(GeneratorTest, WorkingSetMatchesSpec) {
 
 // Cross-variant stability: an unhardened benchmark computes the same
 // result on all three system variants (Section V-B backward
-// compatibility), and cycle counts are identical because the baseline
-// core differs only in its decoder.
+// compatibility), in identical cycles, instructions and peak memory
+// because the baseline core differs only in its decoder. One workload of
+// the §V-B grid, held to the §V-B claims.
 TEST(CompatTest, IdenticalResultsAndCyclesAcrossVariants) {
-  auto suite = SpecCint2006Suite(0.02);
-  const ir::Module module = Generate(suite[3]);
-  core::BuildOptions options;
-  core::RunMetrics reference{};
-  bool first = true;
-  for (auto variant :
-       {core::SystemVariant::kBaseline, core::SystemVariant::kProcessorModified,
-        core::SystemVariant::kFullRoload}) {
-    auto metrics = core::CompileAndRun(module, options, variant);
-    ASSERT_TRUE(metrics.ok());
-    ASSERT_TRUE(metrics->completed);
-    if (first) {
-      reference = *metrics;
-      first = false;
-      continue;
-    }
-    EXPECT_EQ(metrics->exit_code, reference.exit_code);
-    EXPECT_EQ(metrics->cycles, reference.cycles);
-    EXPECT_EQ(metrics->instructions, reference.instructions);
-    EXPECT_EQ(metrics->peak_mem_kib, reference.peak_mem_kib);
+  campaign::CampaignSpec grid =
+      campaign::FigureGrid(campaign::Figure::kSecVB, 0.02);
+  grid.workloads = {grid.workloads[3]};
+  const campaign::CampaignResult result = campaign::Run(grid, {.jobs = 1});
+  ASSERT_TRUE(result.all_ok());
+  const campaign::FigureValues values = campaign::FigureValuesOf(result);
+  for (const campaign::Claim* claim :
+       campaign::FailedClaims(campaign::Figure::kSecVB, values)) {
+    ADD_FAILURE() << campaign::DescribeClaim(*claim, values);
   }
 }
 
