@@ -1,13 +1,13 @@
 // Shared helpers for the table/figure reproduction binaries. The grids,
-// their overheads and the paper's claims live in src/campaign; what
-// remains is table cosmetics, the claim gate, the RPC under-load rows and
-// the BENCH_<name>.json writer.
+// their overheads, tables and the paper's claims live in src/campaign;
+// what remains is the figure-bench driver, the claim gate, the RPC
+// under-load rows and the BENCH_<name>.json writer.
 #pragma once
 
 #include <algorithm>
-#include <cctype>
 #include <cstdint>
 #include <cstdio>
+#include <initializer_list>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -34,47 +34,9 @@ inline bool ReportFaults(const campaign::CampaignResult& result) {
   return any;
 }
 
-inline void PrintRule(int width = 100) {
+inline void PrintRule(int width) {
   for (int i = 0; i < width; ++i) std::fputc('-', stdout);
   std::fputc('\n', stdout);
-}
-
-// Looks up one cycle-attribution bucket of a profiled run (0 when the run
-// was not profiled — buckets are recorded in full whenever they are).
-inline std::uint64_t ProfileBucket(const core::RunMetrics& metrics,
-                                   std::string_view bucket) {
-  for (const auto& [name, cycles] : metrics.profile) {
-    if (name == bucket) return cycles;
-  }
-  return 0;
-}
-
-// Prints and records the Fig 3/4 overhead decomposition for one hardened
-// run vs its base: how much of the extra time is the ld.ro path itself vs
-// second-order TLB-walk / cache-miss changes. Keys land in the session as
-// `<prefix>.delta.<bucket>` (signed percent of base cycles).
-inline void RecordProfileDelta(trace::TelemetrySession* session,
-                               const std::string& prefix,
-                               const core::RunMetrics& base,
-                               const core::RunMetrics& hardened) {
-  static constexpr std::string_view kBuckets[] = {
-      "compute", "roload_load", "icache_miss", "dcache_miss",
-      "itlb_walk", "dtlb_walk", "trap", "syscall"};
-  const double base_cycles = static_cast<double>(base.cycles);
-  if (base_cycles == 0) return;
-  std::printf("    %-22s", (prefix + " Δcycles%:").c_str());
-  for (std::string_view bucket : kBuckets) {
-    const double delta_pct =
-        (static_cast<double>(ProfileBucket(hardened, bucket)) -
-         static_cast<double>(ProfileBucket(base, bucket))) /
-        base_cycles * 100.0;
-    session->Record(prefix + ".delta." + std::string(bucket), delta_pct);
-    if (delta_pct != 0.0) {
-      std::printf(" %.*s %+0.3f", static_cast<int>(bucket.size()),
-                  bucket.data(), delta_pct);
-    }
-  }
-  std::printf("\n");
 }
 
 // Records a figure's values and the paper's ("paper.*") in `session`,
@@ -120,12 +82,13 @@ inline bool RunUnderLoad(const campaign::CampaignSpec& grid, double scale,
   if (ReportFaults(under)) return false;
 
   const std::string& workload = load.workloads.front().name;
-  const std::string defenses[] = {load.configs[1].label,
-                                  load.configs[2].label};
+  const std::vector<campaign::FigureColumn> defenses =
+      campaign::FigureColumns(load);
   std::printf("\nUnder load: RPC dispatch server, requests spread across "
               "harts\n\n");
   std::printf("%-24s | %12s | %8s %8s\n", workload.c_str(), "base cycles",
-              (defenses[0] + "%").c_str(), (defenses[1] + "%").c_str());
+              (defenses[0].config + "%").c_str(),
+              (defenses[1].config + "%").c_str());
   PrintRule(64);
   for (unsigned harts : load.harts) {
     auto cycles = [&](const std::string& config) {
@@ -138,11 +101,10 @@ inline bool RunUnderLoad(const campaign::CampaignSpec& grid, double scale,
     session->Record(prefix + "base_cycles", base);
     double pct[2];
     for (int i = 0; i < 2; ++i) {
-      pct[i] = core::OverheadPercent(static_cast<double>(base),
-                                     static_cast<double>(cycles(defenses[i])));
-      std::string key = defenses[i];
-      for (char& ch : key) ch = static_cast<char>(std::tolower(ch));
-      session->Record(prefix + key + "_time_pct", pct[i]);
+      pct[i] = core::OverheadPercent(
+          static_cast<double>(base),
+          static_cast<double>(cycles(defenses[i].config)));
+      session->Record(prefix + defenses[i].name + "_time_pct", pct[i]);
     }
     std::printf("%-24s | %12llu | %8.3f %8.3f\n",
                 ("harts=" + std::to_string(harts)).c_str(),
@@ -162,6 +124,84 @@ inline void WriteBenchJson(const trace::TelemetrySession& session) {
     return;
   }
   std::printf("\nwrote %s\n", path.c_str());
+}
+
+// Records what a figure's bench keeps per workload beside the claim
+// values: the base column ("<w>.base_cycles", or "<w>.base_kib" for a
+// memory table), and on a defense grid the first hardened config's ld.ro
+// loads and key checks (for memory, its image bytes) and, when the grid
+// was profiled, every hardened column's Δcycles buckets
+// ("<w>.<column>.delta.<bucket>").
+inline void RecordWorkloadKeys(campaign::Figure figure,
+                               const campaign::CampaignResult& result,
+                               trace::TelemetrySession* session) {
+  const campaign::CampaignSpec& grid = result.spec();
+  const bool memory = campaign::TableSpecOf(figure).base_kib;
+  const std::vector<campaign::FigureColumn> columns =
+      campaign::FigureColumns(grid);
+  for (const workloads::WorkloadSpec& workload : grid.workloads) {
+    const std::string& name = workload.name;
+    const core::RunMetrics& base = result.MetricsOf(
+        name, grid.configs.front().label, grid.variants.front());
+    session->Record(name + (memory ? ".base_kib" : ".base_cycles"),
+                    memory ? base.peak_mem_kib : base.cycles);
+    if (grid.variants.size() > 1) continue;  // no hardened config
+    const std::string first = name + "." + columns.front().name;
+    const core::RunMetrics& run =
+        result.MetricsOf(name, columns.front().config);
+    if (memory) {
+      session->Record(first + "_image_bytes", run.image_bytes);
+      continue;
+    }
+    session->Record(first + "_roload_loads", run.roload_loads);
+    session->Record(first + "_key_checks", run.Counter("tlb.d.key_check"));
+    for (std::size_t c = 0; grid.profile && c < columns.size(); ++c) {
+      for (const auto& [bucket, pct] : campaign::ProfileDeltas(
+               base, result.MetricsOf(name, columns[c].config))) {
+        session->Record(name + "." + columns[c].name + ".delta." + bucket,
+                        pct);
+      }
+    }
+  }
+}
+
+// A figure bench: runs the grid `figures` share (the first one's
+// FigureGrid) at ROLOAD_BENCH_SCALE, default `default_scale`, and prints,
+// records and gates on each figure in turn. A defense grid is profiled
+// under ROLOAD_BENCH_PROFILE and, after its first figure, runs under load;
+// a system grid (§V-B) records whether it stayed backward compatible.
+// Writes BENCH_<grid>.json and returns the exit code: 1 when a run faulted
+// or a claim failed.
+inline int RunFigureBench(std::initializer_list<campaign::Figure> figures,
+                          double default_scale) {
+  const double scale = campaign::ScaleFromEnv(default_scale);
+  campaign::CampaignSpec grid = campaign::FigureGrid(*figures.begin(), scale);
+  const bool by_variant = grid.variants.size() > 1;
+  grid.profile = !by_variant && campaign::ProfileFromEnv();
+  const campaign::CampaignResult result =
+      campaign::Run(grid, {.jobs = campaign::JobsFromEnv()});
+  if (ReportFaults(result)) return 1;
+  const campaign::FigureValues values = campaign::FigureValuesOf(result);
+
+  trace::TelemetrySession session(grid.name);
+  result.FillSession(&session);
+  session.Record("scale", scale);
+  bool claims_hold = true;
+  for (campaign::Figure figure : figures) {
+    const bool first = figure == *figures.begin();
+    if (!first) std::printf("\n");
+    std::fputs(campaign::FigureTable(figure, result, scale).c_str(), stdout);
+    RecordWorkloadKeys(figure, result, &session);
+    claims_hold &= GateClaims(figure, values, &session);
+    if (first && !by_variant && !RunUnderLoad(grid, scale, &session)) {
+      return 1;
+    }
+  }
+  if (by_variant) {
+    session.Record("backward_compatible", claims_hold ? "yes" : "no");
+  }
+  WriteBenchJson(session);
+  return claims_hold ? 0 : 1;
 }
 
 }  // namespace roload::bench

@@ -5,6 +5,8 @@
 #include <cstdlib>
 #include <string>
 
+#include "support/strings.h"
+
 namespace roload::campaign {
 namespace {
 
@@ -38,12 +40,10 @@ std::optional<bool> ParseSwitch(std::string_view text) {
 }
 
 std::optional<unsigned> ParseJobs(std::string_view text) {
-  const std::string copy(text);
-  char* end = nullptr;
-  const unsigned long value = std::strtoul(copy.c_str(), &end, 10);
-  if (end != copy.c_str() + copy.size() || copy.empty()) return std::nullopt;
-  if (value > 1024) return std::nullopt;  // nonsense thread counts
-  return static_cast<unsigned>(value);
+  const auto value = ParseInt(text);
+  if (!value || *value < 0) return std::nullopt;
+  if (*value > 1024) return std::nullopt;  // nonsense thread counts
+  return static_cast<unsigned>(*value);
 }
 
 double ScaleFromEnv(double default_scale) {
@@ -71,12 +71,9 @@ unsigned JobsFromEnv(unsigned default_jobs) {
 }
 
 std::optional<unsigned> ParseRepeats(std::string_view text) {
-  const std::string copy(text);
-  char* end = nullptr;
-  const unsigned long value = std::strtoul(copy.c_str(), &end, 10);
-  if (end != copy.c_str() + copy.size() || copy.empty()) return std::nullopt;
-  if (value == 0 || value > 99) return std::nullopt;
-  return static_cast<unsigned>(value);
+  const auto value = ParseInt(text);
+  if (!value || *value <= 0 || *value > 99) return std::nullopt;
+  return static_cast<unsigned>(*value);
 }
 
 unsigned RepeatsFromEnv(unsigned default_repeats) {

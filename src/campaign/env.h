@@ -2,8 +2,8 @@
 // bench binaries and rcampaign. The old std::atof path silently accepted
 // garbage — ROLOAD_BENCH_SCALE=fast parsed to 0, which fell through to
 // the default with no hint the request was ignored. These parsers check
-// the strtod/strtoul end pointer, and the *FromEnv wrappers warn on
-// stderr whenever a set value is rejected.
+// the strtod end pointer or parse counts with roload::ParseInt, and the
+// *FromEnv wrappers warn on stderr whenever a set value is rejected.
 #pragma once
 
 #include <optional>

@@ -1,9 +1,12 @@
 #include "campaign/figures.h"
 
 #include <algorithm>
+#include <array>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
+
+#include "support/strings.h"
 
 namespace roload::campaign {
 namespace {
@@ -95,6 +98,39 @@ constexpr FigureDef kFigures[] = {
     {"Table III", "table3_hw_cost"},
 };
 
+// The grid figures' tables, in Figure order (Table III prints its own).
+constexpr TableColumn kFig3Columns[] = {
+    {"VCall%", "vcall_time_pct", 8, 3},
+    {"VTint%", "vtint_time_pct", 8, 3},
+    {"VCall m%", "vcall_mem_pct", 9, 4},
+    {"VTint m%", "vtint_mem_pct", 9, 4},
+};
+// The paper gives ICall's average runtime only as "almost zero".
+constexpr TableColumn kFig4Columns[] = {
+    {"ICall%", "icall_time_pct", 8, 3, "~0"},
+    {"CFI%", "cfi_time_pct", 8, 3},
+};
+constexpr TableColumn kFig5Columns[] = {
+    {"ICall m%", "icall_mem_pct", 9, 4},
+    {"CFI m%", "cfi_mem_pct", 9, 4},
+};
+constexpr TableColumn kSecVBColumns[] = {
+    {"proc t%", "proc_time_pct", 10, 4},
+    {"proc+k t%", "full_time_pct", 10, 4},
+    {"proc m%", "proc_mem_pct", 10, 4},
+    {"proc+k m%", "full_mem_pct", 10, 4},
+};
+
+constexpr FigureTableSpec kTables[] = {
+    {"Figure 3: VCall vs VTint on the C++ benchmarks", false, 100,
+     kFig3Columns, true},
+    {"Figure 4: ICall vs CFI runtime overheads", false, 64, kFig4Columns,
+     true},
+    {"Figure 5: ICall vs CFI memory overheads", true, 64, kFig5Columns, true},
+    {"Section V-B: system compatibility and overhead", false, 92,
+     kSecVBColumns, false},
+};
+
 std::string Number(double value) {
   char text[32];
   std::snprintf(text, sizeof(text), "%g", value);
@@ -171,28 +207,28 @@ CampaignSpec FigureGrid(Figure figure, double scale) {
   return grid;
 }
 
-FigureValues FigureValuesOf(const CampaignResult& result) {
-  const CampaignSpec& grid = result.spec();
-  const std::string& base_config = grid.configs.front().label;
-  // One column per hardened config, or per modified system when the grid
-  // varies systems; each is measured in cycles and in peak memory.
-  struct Column {
-    std::string name;
-    std::string config;
-    core::SystemVariant variant;
-    double sums[2] = {0, 0};
-  };
+std::vector<FigureColumn> FigureColumns(const CampaignSpec& grid) {
   const bool by_variant = grid.variants.size() > 1;
-  std::vector<Column> columns;
+  std::vector<FigureColumn> columns;
   for (std::size_t i = 1; i < grid.variants.size(); ++i) {
     columns.push_back({std::string(VariantName(grid.variants[i])),
-                       base_config, grid.variants[i]});
+                       grid.configs.front().label, grid.variants[i]});
   }
   for (std::size_t i = 1; !by_variant && i < grid.configs.size(); ++i) {
     std::string name = grid.configs[i].label;
     for (char& c : name) c = static_cast<char>(std::tolower(c));
     columns.push_back({name, grid.configs[i].label, grid.variants.front()});
   }
+  return columns;
+}
+
+FigureValues FigureValuesOf(const CampaignResult& result) {
+  const CampaignSpec& grid = result.spec();
+  const std::string& base_config = grid.configs.front().label;
+  // Each column is measured in cycles and in peak memory.
+  const bool by_variant = grid.variants.size() > 1;
+  const std::vector<FigureColumn> columns = FigureColumns(grid);
+  std::vector<std::array<double, 2>> sums(columns.size());
   constexpr std::string_view kMetrics[] = {"_time_pct", "_mem_pct"};
   FigureValues values;
   double worst[2] = {0, 0};
@@ -201,9 +237,9 @@ FigureValues FigureValuesOf(const CampaignResult& result) {
   for (const workloads::WorkloadSpec& workload : grid.workloads) {
     const core::RunMetrics& base =
         result.MetricsOf(workload.name, base_config, grid.variants.front());
-    for (Column& column : columns) {
-      const core::RunMetrics& run =
-          result.MetricsOf(workload.name, column.config, column.variant);
+    for (std::size_t c = 0; c < columns.size(); ++c) {
+      const core::RunMetrics& run = result.MetricsOf(
+          workload.name, columns[c].config, columns[c].variant);
       const double pct[2] = {
           core::OverheadPercent(static_cast<double>(base.cycles),
                                 static_cast<double>(run.cycles)),
@@ -211,9 +247,9 @@ FigureValues FigureValuesOf(const CampaignResult& result) {
                                 static_cast<double>(run.peak_mem_kib))};
       for (int m = 0; m < 2; ++m) {
         values.emplace_back(
-            workload.name + "." + column.name + std::string(kMetrics[m]),
+            workload.name + "." + columns[c].name + std::string(kMetrics[m]),
             pct[m]);
-        column.sums[m] += pct[m];
+        sums[c][m] += pct[m];
         worst[m] = std::max(worst[m], std::abs(pct[m]));
       }
       worst_instructions = std::max(
@@ -229,10 +265,10 @@ FigureValues FigureValuesOf(const CampaignResult& result) {
       values.emplace_back("worst" + std::string(kMetrics[m]), worst[m]);
       continue;
     }
-    for (const Column& column : columns) {
+    for (std::size_t c = 0; c < columns.size(); ++c) {
       values.emplace_back(
-          "average." + column.name + std::string(kMetrics[m]),
-          column.sums[m] / static_cast<double>(grid.workloads.size()));
+          "average." + columns[c].name + std::string(kMetrics[m]),
+          sums[c][m] / static_cast<double>(grid.workloads.size()));
     }
   }
   if (by_variant) {
@@ -240,6 +276,119 @@ FigureValues FigureValuesOf(const CampaignResult& result) {
     values.emplace_back("exit_mismatches", exit_mismatches);
   }
   return values;
+}
+
+FigureValues ProfileDeltas(const core::RunMetrics& base,
+                           const core::RunMetrics& run) {
+  static constexpr std::string_view kBuckets[] = {
+      "compute", "roload_load", "icache_miss", "dcache_miss",
+      "itlb_walk", "dtlb_walk", "trap", "syscall"};
+  // Buckets are recorded in full whenever a run is profiled.
+  auto cycles_in = [](const core::RunMetrics& metrics,
+                      std::string_view bucket) {
+    for (const auto& [name, cycles] : metrics.profile) {
+      if (name == bucket) return static_cast<double>(cycles);
+    }
+    return 0.0;
+  };
+  FigureValues deltas;
+  const double base_cycles = static_cast<double>(base.cycles);
+  if (base_cycles == 0) return deltas;
+  for (std::string_view bucket : kBuckets) {
+    deltas.emplace_back(
+        std::string(bucket),
+        (cycles_in(run, bucket) - cycles_in(base, bucket)) / base_cycles *
+            100.0);
+  }
+  return deltas;
+}
+
+const FigureTableSpec& TableSpecOf(Figure figure) {
+  ROLOAD_CHECK(figure != Figure::kTableIII);
+  return kTables[static_cast<std::size_t>(figure)];
+}
+
+std::string FigureTable(Figure figure, const CampaignResult& result,
+                        double scale) {
+  const FigureTableSpec& table = TableSpecOf(figure);
+  const CampaignSpec& grid = result.spec();
+  const FigureValues values = FigureValuesOf(result);
+  const bool deltas = grid.profile && !table.base_kib;
+  std::string out = StrFormat("%s (scale=%.2f%s)\n\n",
+                              std::string(table.title).c_str(), scale,
+                              deltas ? ", profiled" : "");
+  // One line: the row name, the base column, then one cell per value
+  // column; "|" opens the values and each change of metric.
+  auto row = [&](const std::string& name, const std::string& base,
+                 auto cell) {
+    out += StrFormat("%-24s | %12s", name.c_str(), base.c_str());
+    const TableColumn* previous = nullptr;
+    for (const TableColumn& column : table.columns) {
+      const bool memory = column.key.ends_with("_mem_pct");
+      out += previous == nullptr ||
+                     memory != previous->key.ends_with("_mem_pct")
+                 ? " | "
+                 : " ";
+      out += cell(column);
+      previous = &column;
+    }
+    out += '\n';
+  };
+  auto text = [](const TableColumn& column, std::string_view cell) {
+    return StrFormat("%*s", column.width, std::string(cell).c_str());
+  };
+  // The value of `<prefix><column key>`.
+  auto number = [&](const FigureValues& source, const std::string& prefix) {
+    return [&source, prefix](const TableColumn& column) {
+      return StrFormat("%*.*f", column.width, column.precision,
+                       ValueOf(source, prefix + std::string(column.key)));
+    };
+  };
+  const std::string rule = std::string(table.rule, '-') + "\n";
+
+  row("benchmark", table.base_kib ? "base KiB" : "base cycles",
+      [&](const TableColumn& column) { return text(column, column.header); });
+  out += rule;
+  const std::vector<FigureColumn> columns = FigureColumns(grid);
+  for (const workloads::WorkloadSpec& workload : grid.workloads) {
+    const core::RunMetrics& base = result.MetricsOf(
+        workload.name, grid.configs.front().label, grid.variants.front());
+    row(workload.name,
+        std::to_string(table.base_kib ? base.peak_mem_kib : base.cycles),
+        number(values, workload.name + "."));
+    for (std::size_t c = 0; deltas && c < columns.size(); ++c) {
+      const FigureValues moved = ProfileDeltas(
+          base, result.MetricsOf(workload.name, columns[c].config,
+                                 columns[c].variant));
+      if (moved.empty()) continue;
+      out += StrFormat(
+          "    %-22s",
+          (workload.name + "." + columns[c].name + " Δcycles%:").c_str());
+      for (const auto& [bucket, pct] : moved) {
+        if (pct != 0.0) out += StrFormat(" %s %+0.3f", bucket.c_str(), pct);
+      }
+      out += '\n';
+    }
+  }
+  out += rule;
+  if (!table.average_and_paper_rows) {
+    if (FailedClaims(figure, values).empty()) {
+      out += "All benchmarks finished successfully on all three systems "
+             "(backward compatible).\n";
+    }
+    return out + StrFormat("Worst runtime overhead: %.4f%%, worst memory "
+                           "overhead: %.4f%% (paper: ~0%% for both).\n",
+                           ValueOf(values, "worst_time_pct"),
+                           ValueOf(values, "worst_mem_pct"));
+  }
+  row("average", "", number(values, "average."));
+  const FigureValues paper = PaperValues(figure);
+  const auto paper_number = number(paper, "paper.");
+  row("paper (DAC'21)", "", [&](const TableColumn& column) {
+    return column.paper_text.empty() ? paper_number(column)
+                                     : text(column, column.paper_text);
+  });
+  return out;
 }
 
 FigureValues TableIIIValues(const hw::TableIII& table) {

@@ -1,12 +1,13 @@
 // The paper's performance and hardware evaluation as data: the grid each
-// figure runs, the keyed values it reproduces, and the shape claims those
-// values must meet (Figs 3-5, Section V-B, Table III). The figure benches
-// print, record and gate on these, and tests/test_experiments.cpp and
-// tests/test_hw.cpp evaluate the same claims; nothing else restates a
-// threshold or a paper number.
+// figure runs, the keyed values it reproduces, the table it prints (Figs
+// 3-5, Section V-B) and the shape claims those values must meet (also
+// Table III). The figure benches print, record and gate on these, and
+// tests/test_experiments.cpp and tests/test_hw.cpp evaluate the same
+// claims; nothing else restates a threshold or a paper number.
 #pragma once
 
 #include <limits>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -44,6 +45,58 @@ CampaignSpec FigureGrid(Figure figure, double scale);
 // "worst_instructions_pct", the same for retired instructions, and
 // "exit_mismatches", how many runs exit differently from their base.
 FigureValues FigureValuesOf(const CampaignResult& result);
+
+// One overhead column of a clean grid: a hardened config against the base
+// config, or, when the grid varies systems (§V-B), a modified system
+// against the first. `name` is the config's label lowercased ("vcall") or
+// the system's name ("proc", "full"), as in FigureValuesOf's keys.
+struct FigureColumn {
+  std::string name;
+  std::string config;
+  core::SystemVariant variant;
+};
+std::vector<FigureColumn> FigureColumns(const CampaignSpec& grid);
+
+// How far a profiled `run` moved each cycle-attribution bucket against
+// `base`, in signed percent of base cycles, keyed by bucket ("compute",
+// "roload_load", "icache_miss", ...); empty when `base` ran no cycles.
+FigureValues ProfileDeltas(const core::RunMetrics& base,
+                           const core::RunMetrics& run);
+
+// One value column of a figure table: its header, the FigureValuesOf
+// column it prints ("vcall_time_pct" reads "<workload>.vcall_time_pct",
+// "average.vcall_time_pct" and "paper.vcall_time_pct"), its printf width
+// and precision, and, where the paper gives no number, the text its paper
+// cell shows instead.
+struct TableColumn {
+  std::string_view header;
+  std::string_view key;
+  int width;
+  int precision;
+  std::string_view paper_text = {};
+};
+
+// A grid figure's table (Figs 3-5, §V-B): the title, whether the base
+// column shows peak KiB instead of cycles, the width of its rules, the
+// value columns (a change from time to memory columns starts a new "|"
+// group), and whether it closes with "average" and "paper" rows; §V-B
+// closes instead with its worst overheads, after its compatibility verdict
+// when every §V-B claim holds.
+struct FigureTableSpec {
+  std::string_view title;
+  bool base_kib;
+  int rule;
+  std::span<const TableColumn> columns;
+  bool average_and_paper_rows;
+};
+const FigureTableSpec& TableSpecOf(Figure figure);
+
+// `figure`'s table (not Table III's) over a clean run of its grid at
+// workload scale `scale`: title, header, one row per workload, followed on
+// a profiled cycles table by one "Δcycles%" line per hardened column, then
+// the closing rows.
+std::string FigureTable(Figure figure, const CampaignResult& result,
+                        double scale);
 
 // Table III's increases in percent ("core_lut_pct", "core_ff_pct",
 // "system_lut_pct", "system_ff_pct", their maximum "worst_pct") and the

@@ -1,6 +1,5 @@
 #include "campaign/grid.h"
 
-#include <cstdlib>
 #include <string>
 
 #include "campaign/env.h"
@@ -110,32 +109,26 @@ Status ParseGrid(std::string_view grid, double default_scale,
     } else if (key == "scale") {
       // consumed by the first pass
     } else if (key == "seed") {
-      const std::string copy(value);
-      char* end = nullptr;
-      spec->seed = std::strtoull(copy.c_str(), &end, 0);
-      if (copy.empty() || end != copy.c_str() + copy.size()) {
+      const auto seed = ParseInt(value);
+      if (!seed || *seed < 0) {
         return Status::InvalidArgument("bad seed: " + std::string(field));
       }
+      spec->seed = static_cast<std::uint64_t>(*seed);
     } else if (key == "max-instructions") {
-      const std::string copy(value);
-      char* end = nullptr;
-      spec->max_instructions = std::strtoull(copy.c_str(), &end, 0);
-      if (copy.empty() || end != copy.c_str() + copy.size() ||
-          spec->max_instructions == 0) {
+      const auto limit = ParseInt(value);
+      if (!limit || *limit <= 0) {
         return Status::InvalidArgument("bad max-instructions: " +
                                        std::string(field));
       }
+      spec->max_instructions = static_cast<std::uint64_t>(*limit);
     } else if (key == "harts") {
       spec->harts.clear();
       for (std::string_view entry : SplitString(value, ',')) {
-        const std::string copy(entry);
-        char* end = nullptr;
-        const unsigned long harts = std::strtoul(copy.c_str(), &end, 0);
-        if (copy.empty() || end != copy.c_str() + copy.size() ||
-            harts == 0 || harts > 64) {
+        const auto harts = ParseInt(entry);
+        if (!harts || *harts <= 0 || *harts > 64) {
           return Status::InvalidArgument("bad harts: " + std::string(field));
         }
-        spec->harts.push_back(static_cast<unsigned>(harts));
+        spec->harts.push_back(static_cast<unsigned>(*harts));
       }
     } else if (key == "exec") {
       spec->execs.clear();

@@ -66,10 +66,8 @@ std::vector<RunSpec> Expand(const CampaignSpec& spec) {
             // Single-hart runs keep their historical names (the default
             // {1} axis expands to exactly the pre-SMP grid); only true
             // SMP cells grow the "/h<N>" suffix.
-            if (harts != 1) run.name += "/h" + std::to_string(harts);
-            if (name_execs) {
-              run.name += "/" + std::string(cpu::ExecTierName(exec));
-            }
+            if (harts != 1) (run.name += "/h") += std::to_string(harts);
+            if (name_execs) (run.name += "/") += cpu::ExecTierName(exec);
             run.workload = workload;
             run.build = config.build;
             run.variant = variant;

@@ -19,8 +19,6 @@ std::string_view StatusCodeName(StatusCode code) {
       return "FAILED_PRECONDITION";
     case StatusCode::kAlreadyExists:
       return "ALREADY_EXISTS";
-    case StatusCode::kUnimplemented:
-      return "UNIMPLEMENTED";
     case StatusCode::kInternal:
       return "INTERNAL";
   }

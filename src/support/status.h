@@ -19,7 +19,6 @@ enum class StatusCode {
   kOutOfRange,
   kFailedPrecondition,
   kAlreadyExists,
-  kUnimplemented,
   kInternal,
 };
 
@@ -47,9 +46,6 @@ class Status {
   }
   static Status AlreadyExists(std::string msg) {
     return Status(StatusCode::kAlreadyExists, std::move(msg));
-  }
-  static Status Unimplemented(std::string msg) {
-    return Status(StatusCode::kUnimplemented, std::move(msg));
   }
   static Status Internal(std::string msg) {
     return Status(StatusCode::kInternal, std::move(msg));

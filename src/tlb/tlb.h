@@ -27,7 +27,6 @@ enum class AccessType : std::uint8_t {
 
 struct TlbConfig {
   unsigned entries = 32;       // 32-entry I-TLB / D-TLB (Table II)
-  unsigned ways = 32;          // fully associative by default
   // Cycles charged per page-table level on a miss (memory access latency
   // is charged separately by the cache model in the CPU; this is the
   // walker's own latency).

@@ -51,8 +51,8 @@ void CheckSections(const LinkImage& image, Report* report) {
     if (sec.key != 0) ++report->stats().keyed_sections;
     const bool keyed_name = sec.name.rfind(".rodata.key.", 0) == 0;
     if (keyed_name) {
-      const std::uint32_t named_key = static_cast<std::uint32_t>(
-          std::strtoul(sec.name.c_str() + 12, nullptr, 10));
+      const std::uint32_t named_key =
+          asmtool::AttrsForSectionName(sec.name).key;
       if (named_key != sec.key) {
         report->Add(Rule::kBinSectionAttrs, sec.name,
                     StrFormat("section named for key %u but mapped with "

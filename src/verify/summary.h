@@ -51,10 +51,6 @@ struct AbsVal {
   static AbsVal Entry(std::uint8_t reg) { return {Kind::kEntry, reg}; }
   static AbsVal Unknown() { return {Kind::kUnknown, 0}; }
 
-  bool IsEntryOf(std::uint8_t reg) const {
-    return kind == Kind::kEntry && bits == reg;
-  }
-
   bool operator==(const AbsVal&) const = default;
 };
 

@@ -14,7 +14,7 @@ namespace {
 ir::Module LoadModule(std::int64_t offset, bool with_md,
                       std::uint32_t key = 111) {
   ir::Module module;
-  module.name = "t";
+  module.name += "t";
   ir::Global g;
   g.name = "g";
   g.read_only = true;

@@ -246,6 +246,8 @@ TEST(CampaignGridTest, RejectsUnknownTokens) {
   EXPECT_FALSE(campaign::ParseGrid("variants=quantum", 0.5, &spec).ok());
   EXPECT_FALSE(campaign::ParseGrid("scale=fast", 0.5, &spec).ok());
   EXPECT_FALSE(campaign::ParseGrid("seed=x", 0.5, &spec).ok());
+  EXPECT_FALSE(campaign::ParseGrid("seed=-1", 0.5, &spec).ok());
+  EXPECT_FALSE(campaign::ParseGrid("max-instructions=-1", 0.5, &spec).ok());
   EXPECT_FALSE(campaign::ParseGrid("exec=fast", 0.5, &spec).ok());
   EXPECT_FALSE(campaign::ParseGrid("notkeyvalue", 0.5, &spec).ok());
 }

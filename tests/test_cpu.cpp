@@ -169,7 +169,7 @@ struct AluTierCase {
 
 std::string AluTierName(const AluTierCase& test_case) {
   std::string name = test_case.alu.mnemonic;
-  if (test_case.tier) name += "_" + TierName(test_case.tier);
+  if (test_case.tier) (name += "_") += TierName(test_case.tier);
   return name;
 }
 

@@ -2,12 +2,15 @@
 // (campaign/figures.h) must hold on a reduced-scale run of each figure's
 // own grid. If a change to the simulator, passes, or workloads breaks a
 // *shape* the paper reports, these tests catch it before the bench
-// binaries do. The claim table itself is checked against its figure
-// routine without simulating.
+// binaries do. The claim table and the figure tables are checked against
+// the figure routine without simulating.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "campaign/figures.h"
@@ -66,25 +69,56 @@ TEST(PaperShapeTest, TableIIIWithinPaperBound) {
                    campaign::TableIIIValues(hw::ComputeTableIII()), "_pct");
 }
 
+// A clean result of `figure`'s grid cut to two workloads, without
+// simulating. Each config takes its own cycles and peak KiB (config c of
+// workload w: 1000 + 500w + 20c cycles, 4096 + 1024w + c KiB); the systems
+// of a §V-B grid run alike, and `exit_codes` sets each run's exit code in
+// grid order. A profiled run spends its extra 20c cycles in "compute" and
+// moves 5c from "icache_miss" to "roload_load".
+campaign::CampaignResult SyntheticResult(
+    Figure figure, bool profile, std::vector<std::int64_t> exit_codes = {}) {
+  campaign::CampaignSpec grid = campaign::FigureGrid(figure, kScale);
+  grid.workloads.resize(2);
+  grid.profile = profile;
+  const std::size_t systems = grid.variants.size();
+  const std::size_t configs = grid.configs.size();
+  std::vector<campaign::RunOutcome> outcomes;
+  for (const campaign::RunSpec& run : campaign::Expand(grid)) {
+    const std::size_t i = outcomes.size();
+    const std::uint64_t w = i / (configs * systems);
+    const std::uint64_t c = i / systems % configs;
+    campaign::RunOutcome outcome;
+    outcome.name = run.name;
+    outcome.index = i;
+    core::RunMetrics& metrics = outcome.metrics;
+    metrics.completed = true;
+    metrics.cycles = 1000 + 500 * w + 20 * c;
+    metrics.peak_mem_kib = 4096 + 1024 * w + c;
+    if (i < exit_codes.size()) metrics.exit_code = exit_codes[i];
+    if (profile) {
+      metrics.profile = {{"compute", metrics.cycles - 100},
+                         {"roload_load", 5 * c},
+                         {"icache_miss", 60 - 5 * c},
+                         {"dcache_miss", 40},
+                         {"itlb_walk", 0},
+                         {"dtlb_walk", 0},
+                         {"trap", 0},
+                         {"syscall", 0}};
+    }
+    outcomes.push_back(std::move(outcome));
+  }
+  return campaign::CampaignResult(grid, std::move(outcomes), 1);
+}
+
 // Every claim reads keys its figure emits, so a renamed key fails here
-// instead of passing silently. Grid figures run on a synthetic clean result
-// (every run identical), so nothing is simulated.
+// instead of passing silently. Grid figures run on a synthetic clean
+// result, so nothing is simulated.
 TEST(ClaimTableTest, EveryClaimReadsAKeyItsFigureEmits) {
   for (Figure figure : kFigures) {
-    campaign::FigureValues values =
-        campaign::TableIIIValues(hw::ComputeTableIII());
-    if (figure != Figure::kTableIII) {
-      const campaign::CampaignSpec grid = campaign::FigureGrid(figure, kScale);
-      std::vector<campaign::RunOutcome> outcomes;
-      for (const campaign::RunSpec& run : campaign::Expand(grid)) {
-        campaign::RunOutcome outcome;
-        outcome.name = run.name;
-        outcome.metrics.completed = true;
-        outcomes.push_back(std::move(outcome));
-      }
-      values = campaign::FigureValuesOf(
-          campaign::CampaignResult(grid, std::move(outcomes), 1));
-    }
+    const campaign::FigureValues values =
+        figure == Figure::kTableIII
+            ? campaign::TableIIIValues(hw::ComputeTableIII())
+            : campaign::FigureValuesOf(SyntheticResult(figure, false));
     EXPECT_FALSE(campaign::ClaimsOf(figure).empty());
     for (const campaign::Claim* claim : campaign::ClaimsOf(figure)) {
       for (std::string_view key : {claim->key, claim->other}) {
@@ -131,6 +165,82 @@ TEST(ClaimTableTest, ViolationNamesExactlyThatClaim) {
   // A value that was never recorded breaks every claim that reads it.
   EXPECT_EQ(failed(Figure::kFig3, {}).size(),
             campaign::ClaimsOf(Figure::kFig3).size());
+}
+
+// The four tables SyntheticResult renders: Fig. 3 profiled, Figs 4 and 5
+// from one grid, §V-B with every claim holding.
+constexpr std::string_view kFig3Table =
+    R"(Figure 3: VCall vs VTint on the C++ benchmarks (scale=0.50, profiled)
+
+benchmark                |  base cycles |   VCall%   VTint% |  VCall m%  VTint m%
+----------------------------------------------------------------------------------------------------
+471.omnetpp_like         |         1000 |    2.000    4.000 |    0.0244    0.0488
+    471.omnetpp_like.vcall Δcycles%: compute +2.000 roload_load +0.500 icache_miss -0.500
+    471.omnetpp_like.vtint Δcycles%: compute +4.000 roload_load +1.000 icache_miss -1.000
+473.astar_like           |         1500 |    1.333    2.667 |    0.0195    0.0391
+    473.astar_like.vcall Δcycles%: compute +1.333 roload_load +0.333 icache_miss -0.333
+    473.astar_like.vtint Δcycles%: compute +2.667 roload_load +0.667 icache_miss -0.667
+----------------------------------------------------------------------------------------------------
+average                  |              |    1.667    3.333 |    0.0220    0.0439
+paper (DAC'21)           |              |    0.303    2.750 |    0.0347    0.0644
+)";
+constexpr std::string_view kFig4Table =
+    R"(Figure 4: ICall vs CFI runtime overheads (scale=0.50)
+
+benchmark                |  base cycles |   ICall%     CFI%
+----------------------------------------------------------------
+401.bzip2_like           |         1000 |    2.000    4.000
+403.gcc_like             |         1500 |    1.333    2.667
+----------------------------------------------------------------
+average                  |              |    1.667    3.333
+paper (DAC'21)           |              |       ~0    9.073
+)";
+constexpr std::string_view kFig5Table =
+    R"(Figure 5: ICall vs CFI memory overheads (scale=0.50)
+
+benchmark                |     base KiB |  ICall m%    CFI m%
+----------------------------------------------------------------
+401.bzip2_like           |         4096 |    0.0244    0.0488
+403.gcc_like             |         5120 |    0.0195    0.0391
+----------------------------------------------------------------
+average                  |              |    0.0220    0.0439
+paper (DAC'21)           |              |    0.0859    0.0500
+)";
+constexpr std::string_view kSecVBTable =
+    R"(Section V-B: system compatibility and overhead (scale=0.30)
+
+benchmark                |  base cycles |    proc t%  proc+k t% |    proc m%  proc+k m%
+--------------------------------------------------------------------------------------------
+401.bzip2_like           |         1000 |     0.0000     0.0000 |     0.0000     0.0000
+403.gcc_like             |         1500 |     0.0000     0.0000 |     0.0000     0.0000
+--------------------------------------------------------------------------------------------
+All benchmarks finished successfully on all three systems (backward compatible).
+Worst runtime overhead: 0.0000%, worst memory overhead: 0.0000% (paper: ~0% for both).
+)";
+
+// Every grid figure's table, rendered from its declaration: a renamed
+// value column would print "nan" here instead of passing silently. §V-B
+// declares backward compatibility only when every claim holds, so one
+// modified-system run that exits differently drops that line.
+TEST(FigureTableTest, RendersEachDeclaredTable) {
+  const campaign::CampaignResult fig3 = SyntheticResult(Figure::kFig3, true);
+  const campaign::CampaignResult fig4 = SyntheticResult(Figure::kFig4, false);
+  const campaign::CampaignResult secvb =
+      SyntheticResult(Figure::kSecVB, false);
+  const std::pair<std::string, std::string_view> tables[] = {
+      {campaign::FigureTable(Figure::kFig3, fig3, 0.5), kFig3Table},
+      {campaign::FigureTable(Figure::kFig4, fig4, 0.5), kFig4Table},
+      {campaign::FigureTable(Figure::kFig5, fig4, 0.5), kFig5Table},
+      {campaign::FigureTable(Figure::kSecVB, secvb, 0.3), kSecVBTable},
+  };
+  for (const auto& [table, golden] : tables) {
+    EXPECT_EQ(table, golden);
+    EXPECT_EQ(table.find("nan"), std::string::npos) << table;
+  }
+  const std::string broken = campaign::FigureTable(
+      Figure::kSecVB, SyntheticResult(Figure::kSecVB, false, {0, 1}), 0.3);
+  EXPECT_EQ(broken.find("All benchmarks finished"), std::string::npos);
+  EXPECT_NE(broken.find("Worst runtime overhead"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

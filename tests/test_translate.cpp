@@ -299,7 +299,6 @@ core::SystemConfig FetchPressureConfig(cpu::ExecTier tier) {
   config.cpu.icache.size_bytes = 256;  // one set of four 64-byte lines
   config.cpu.icache.ways = 4;
   config.cpu.itlb.entries = 4;
-  config.cpu.itlb.ways = 4;
   config.trace.categories =
       trace::CategoryBit(trace::EventCategory::kRoLoad);
   return config;

@@ -247,6 +247,24 @@ TEST(MutationTest, WritableAllowlistSectionIsCaught) {
             RuleId(Rule::kBinWritableKeyAlias));
 }
 
+TEST(MutationTest, KeyedSectionNameWithTrailingJunkIsCaught) {
+  const core::BuildResult build =
+      MustBuild(CppWorkload(), core::Defense::kVCall);
+  asmtool::LinkImage image = build.image;
+  bool renamed = false;
+  for (auto& section : image.sections) {
+    if (section.key != 0) {
+      section.name += "x";  // ".rodata.key.<K>x" names no key
+      renamed = true;
+      break;
+    }
+  }
+  ASSERT_TRUE(renamed);
+  const Report report = VerifyMutated(build, image);
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(SmallestRuleId(report), RuleId(Rule::kBinSectionAttrs));
+}
+
 TEST(MutationTest, DroppedAddiFixupIsCaught) {
   const core::BuildResult build =
       MustBuild(CppWorkload(), core::Defense::kVCall);

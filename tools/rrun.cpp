@@ -140,11 +140,13 @@ int main(int argc, char** argv) {
       if (!parsed) return Usage();
       exec = *parsed;
     } else if (arg == "--harts" && i + 1 < argc) {
-      const unsigned long parsed = std::strtoul(argv[++i], nullptr, 0);
-      if (parsed == 0 || parsed > 64) return Usage();
-      harts = static_cast<unsigned>(parsed);
+      const auto parsed = ParseInt(argv[++i]);
+      if (!parsed || *parsed <= 0 || *parsed > 64) return Usage();
+      harts = static_cast<unsigned>(*parsed);
     } else if (arg == "--max-instructions" && i + 1 < argc) {
-      max_instructions = std::strtoull(argv[++i], nullptr, 0);
+      const auto parsed = ParseInt(argv[++i]);
+      if (!parsed || *parsed < 0) return Usage();
+      max_instructions = static_cast<std::uint64_t>(*parsed);
     } else if (arg == "--trace") {
       trace = true;
     } else if (arg == "--stats") {

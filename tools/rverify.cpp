@@ -77,14 +77,13 @@ int main(int argc, char** argv) {
   }
   unsigned jobs = 1;
   if (!jobs_text.empty()) {
-    char* end = nullptr;
-    const unsigned long parsed = std::strtoul(jobs_text.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0') {
+    const auto parsed = ParseInt(jobs_text);
+    if (!parsed || *parsed < 0) {
       std::fprintf(stderr, "rverify: bad --jobs value: %s\n",
                    jobs_text.c_str());
       return 2;
     }
-    jobs = static_cast<unsigned>(parsed);
+    jobs = static_cast<unsigned>(*parsed);
   }
 
   asmtool::LinkImage image;
